@@ -76,6 +76,24 @@ class FieldTransformSpec:
         return cls(tuple(obj["embed_dims"]), obj["cont_dim"], obj["cont_mode"], obj["g_dim"])
 
 
+def check_inputs(schema: RecordSchema, cat: Array, cont: Array) -> tuple[Array, Array]:
+    """(n, k) int64 and (n, r) float views of a batch, with category indices
+    checked against the schema's arities."""
+    if schema.k > 0:
+        cat = as_matrix(cat, schema.k, dtype=np.int64)
+        cont = as_matrix(cont, schema.r, rows=cat.shape[0])
+    else:
+        cont = as_matrix(cont, schema.r)
+        cat = as_matrix(cat, 0, rows=cont.shape[0], dtype=np.int64)
+    arities = np.asarray(schema.arities, dtype=np.int64)
+    bad = ((cat < 0) | (cat >= arities)).any(axis=0)
+    if bad.any():
+        w = int(np.argmax(bad))
+        raise SchemaError(f"category index out of range for field "
+                          f"{schema.cat_fields[w]!r} (arity {arities[w]})")
+    return cat, cont
+
+
 class FieldTransform:
     """Concatenation of per-field embeddings and the continuous block."""
 
@@ -103,17 +121,7 @@ class FieldTransform:
         return self.spec.output_dim
 
     def forward(self, cat: Array, cont: Array):
-        if self.schema.k > 0:
-            cat = as_matrix(cat, self.schema.k, dtype=np.int64)
-            cont = as_matrix(cont, self.schema.r, rows=cat.shape[0])
-        else:
-            cont = as_matrix(cont, self.schema.r)
-            cat = as_matrix(cat, 0, rows=cont.shape[0], dtype=np.int64)
-        for w, a in enumerate(self.schema.arities):
-            if self.schema.k and ((cat[:, w] < 0).any() or (cat[:, w] >= a).any()):
-                raise SchemaError(
-                    f"category index out of range for field "
-                    f"{self.schema.cat_fields[w]!r} (arity {a})")
+        cat, cont = check_inputs(self.schema, cat, cont)
         blocks = [self.embeddings[w][cat[:, w]] for w in range(self.schema.k)]
         if self.g_weight is not None:
             blocks.append(cont @ self.g_weight.T)
@@ -223,3 +231,44 @@ class Autoencoder:
         """Keys of the parameters that feed the latent representation."""
         keys = [k for k in self.params() if not k.startswith("dec.")]
         return tuple(keys)
+
+
+class FoldedEncoder:
+    """Inference-mode encoder with the field transform folded into layer 0.
+
+    Layer 0 is linear in the transformed input, so each categorical field's
+    embedding can be pushed through its block of the first weight matrix
+    once, ``T_w = E_w @ W1[:, block_w].T`` (arity x width), and the
+    continuous block through ``W1[:, cont]`` (times ``g.W`` when the block is
+    mapped). Layer 0 then costs one r-wide matmul, k table gathers and the
+    tanh, and the (n, d_t) transformed matrix is never built. There is no
+    dropout and no cache, so nothing can flow back through it.
+
+    The tables are a snapshot of the weights at construction: build a new
+    one after the autoencoder changes.
+    """
+
+    def __init__(self, autoencoder: Autoencoder):
+        transform = autoencoder.transform
+        first, *self.rest = autoencoder.encoder.layers
+        offsets = np.cumsum([0, *transform.spec.embed_dims])
+        self.schema = autoencoder.schema
+        self.tables = [E @ first.W[:, lo:hi].T
+                       for E, lo, hi in zip(transform.embeddings, offsets[:-1], offsets[1:])]
+        w_cont = first.W[:, offsets[-1]:]
+        if transform.g_weight is not None:
+            w_cont = w_cont @ transform.g_weight
+        self.w_cont = np.ascontiguousarray(w_cont)
+        self.bias = first.b.copy()
+
+    def encode(self, cat: Array, cont: Array) -> Array:
+        """Latent vectors, (n, latent_dim)."""
+        cat, cont = check_inputs(self.schema, cat, cont)
+        h = cont @ self.w_cont.T
+        h += self.bias
+        for w, table in enumerate(self.tables):
+            h += table[cat[:, w]]
+        np.tanh(h, out=h)
+        for layer in self.rest:
+            h, _ = layer.forward(h)
+        return h

@@ -198,7 +198,7 @@ def _load_for_model(model: ChadModel, stats, data_path, unseen_policy="reject",
     if missing:
         raise SchemaError(f"{data_path} lacks model schema columns {sorted(missing)}")
     dataset, report = load_csv(data_path, model.schema, unseen_policy=unseen_policy,
-                               label_field=label_field)
+                               label_field=label_field, drop_nonfinite=True)
     if dataset.schema.hash() != model.schema.hash():
         raise SchemaError(f"{data_path} introduced categories not in the model schema")
     return apply_normalize(stats, dataset), report

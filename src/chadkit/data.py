@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -152,6 +153,7 @@ class LoadReport:
     rows_kept: int = 0
     rows_dropped_missing: int = 0
     rows_dropped_unseen: int = 0
+    rows_dropped_nonfinite: int = 0
     arities: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -160,6 +162,7 @@ class LoadReport:
             "rows_kept": self.rows_kept,
             "rows_dropped_missing": self.rows_dropped_missing,
             "rows_dropped_unseen": self.rows_dropped_unseen,
+            "rows_dropped_nonfinite": self.rows_dropped_nonfinite,
             "arities": dict(self.arities),
         }
 
@@ -185,7 +188,7 @@ RESERVED_UNSEEN = "<unseen>"
 
 
 def load_csv(path, schema: RecordSchema, unseen_policy: str = "reject",
-             label_field: str | None = None):
+             label_field: str | None = None, drop_nonfinite: bool = False):
     """Read an RFC-4180 CSV into a Dataset.
 
     When the schema has empty vocabularies they are built from the file
@@ -195,6 +198,8 @@ def load_csv(path, schema: RecordSchema, unseen_policy: str = "reject",
 
     Returns (dataset, report). Rows with empty cells are dropped and counted;
     a non-numeric continuous cell is an error naming the row and column.
+    With ``drop_nonfinite`` (scoring input), a row with a nan or infinite
+    continuous cell is dropped and counted too, so it is never scored.
     """
     if unseen_policy not in ("reject", "reserve"):
         raise DataError(f"unknown unseen_policy {unseen_policy!r}")
@@ -226,16 +231,16 @@ def load_csv(path, schema: RecordSchema, unseen_policy: str = "reject",
             v.setdefault(RESERVED_UNSEEN, len(v))
 
     report = LoadReport(rows_read=len(rows))
-    cat_rows, cont_rows, label_rows, kept_line_nos = [], [], [], []
+    cat_rows, cont_rows, label_rows = [], [], []
     for line_no, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise DataError(f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}")
         cells = [row[c] for c in cat_cols] + [row[c] for c in cont_cols]
-        if any(cell == "" for cell in cells):
+        if "" in cells:
             report.rows_dropped_missing += 1
             continue
 
-        cat_out = np.empty(schema.k, dtype=np.int64)
+        cat_out = [0] * len(cat_cols)
         unseen = False
         for w, c in enumerate(cat_cols):
             value = row[c]
@@ -253,32 +258,40 @@ def load_csv(path, schema: RecordSchema, unseen_policy: str = "reject",
             report.rows_dropped_unseen += 1
             continue
 
-        cont_out = np.empty(schema.r)
-        for j, c in enumerate(cont_cols):
-            try:
-                cont_out[j] = float(row[c])
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {line_no}, column {schema.cont_fields[j]!r}: "
-                    f"cannot parse {row[c]!r} as a number") from None
+        try:
+            cont_out = [float(row[c]) for c in cont_cols]
+        except ValueError:
+            _raise_unparsable(path, line_no, row, cont_cols, schema.cont_fields)
+        if drop_nonfinite and not all(map(math.isfinite, cont_out)):
+            report.rows_dropped_nonfinite += 1
+            continue
 
         if label_col is not None:
             label_rows.append(_parse_label(row[label_col], path, line_no))
         cat_rows.append(cat_out)
-        cont_rows.append(cont_out)
-        kept_line_nos.append(line_no)
+        cont_rows.extend(cont_out)
 
     out_schema = RecordSchema(schema.cat_fields, schema.cont_fields, vocabs)
     n = len(cat_rows)
     dataset = Dataset(
         out_schema,
         np.array(cat_rows, dtype=np.int64).reshape(n, schema.k),
-        np.array(cont_rows).reshape(n, schema.r),
+        np.array(cont_rows, dtype=float).reshape(n, schema.r),
         labels=np.array(label_rows, dtype=np.int8) if label_col is not None else None,
     )
     report.rows_kept = n
     report.arities = {name: len(v) for name, v in zip(out_schema.cat_fields, vocabs)}
     return dataset, report
+
+
+def _raise_unparsable(path, line_no: int, row, cont_cols, cont_fields):
+    """Raise the DataError naming the first continuous cell that is not a number."""
+    for c, name in zip(cont_cols, cont_fields):
+        try:
+            float(row[c])
+        except ValueError:
+            raise DataError(f"{path}: row {line_no}, column {name!r}: "
+                            f"cannot parse {row[c]!r} as a number") from None
 
 
 def _parse_label(cell: str, path, line_no: int) -> int:

@@ -2,7 +2,8 @@
 
 This module owns the parameter namespace ("ae.*" / "est.*") used by the
 optimizers, the persistence layer, and the freeze contracts, and provides
-the three loss entry points the training schedule gates between.
+the three loss entry points the training schedule gates between in phases
+1 and 2, and the inference-mode encoder that scoring uses.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autoencoder import Autoencoder, FieldTransformSpec
+from .autoencoder import Autoencoder, FieldTransformSpec, FoldedEncoder
 from .data import Dataset, RecordSchema, as_matrix
 from .errors import SchemaError
 from .estimator import Estimator
@@ -30,6 +31,8 @@ class ModelConfig:
         self.encoder_sizes = tuple(int(s) for s in self.encoder_sizes)
         if len(self.encoder_sizes) < 1:
             raise ValueError("need at least one encoder layer")
+        if min(self.encoder_sizes) < 1:
+            raise ValueError(f"encoder sizes must be positive, got {self.encoder_sizes}")
 
     @property
     def latent_dim(self) -> int:
@@ -49,6 +52,21 @@ class ModelConfig:
     def from_json(cls, obj: dict) -> "ModelConfig":
         return cls(tuple(obj["encoder_sizes"]), obj["embed_cap"], obj["cont_threshold"],
                    obj["g_dim"], obj["dropout_ae"], obj["dropout_est"])
+
+
+def parameter_count(schema: RecordSchema, config: ModelConfig,
+                    spec: FieldTransformSpec) -> int:
+    """Float64 parameters ``ChadModel(schema, config, rng, spec)`` holds, counted
+    without allocating them."""
+    count = sum(a * e for a, e in zip(schema.arities, spec.embed_dims))
+    if spec.cont_mode == "linear":
+        count += spec.g_dim * spec.cont_dim
+    enc_sizes = [spec.output_dim, *config.encoder_sizes]
+    est_sizes = [config.latent_dim, max(1, config.latent_dim // 2), 1]
+    # the decoder mirrors the encoder back to the transformed width
+    for sizes in (enc_sizes, enc_sizes[::-1], est_sizes):
+        count += sum(i * o + o for i, o in zip(sizes, sizes[1:]))
+    return count
 
 
 class ChadModel:
@@ -96,10 +114,9 @@ class ChadModel:
 
     # ---- forward passes --------------------------------------------------
 
-    def encode(self, cat: Array, cont: Array, train: bool = False,
-               rng: np.random.Generator | None = None) -> Array:
-        x_e, _ = self.autoencoder.encode(cat, cont, train, rng)
-        return x_e
+    def encode(self, cat: Array, cont: Array) -> Array:
+        """Latent vectors in inference mode, through a freshly folded encoder."""
+        return FoldedEncoder(self.autoencoder).encode(cat, cont)
 
     def encode_dataset(self, dataset: Dataset) -> Array:
         self.check_schema(dataset)
@@ -121,15 +138,14 @@ class ChadModel:
         return loss, {f"ae.{k}": v for k, v in ae_grads.items()}
 
     def loss_estimator(self, cat: Array, cont: Array, neg_cat: Array, neg_cont: Array,
-                       noise: Array | None, gamma: float, train_encoder: bool,
+                       noise: Array | None, gamma: float,
                        train: bool = False, rng: np.random.Generator | None = None):
         """Contrastive loss over a batch and its negatives.
 
         ``neg_cat``/``neg_cont`` hold K negatives per record, flattened
         row-major; ``noise`` is an optional precomputed (B*K, p) latent
-        offset. When ``train_encoder`` is set the gradient continues through
-        the encoder and field transforms on both the positive and negative
-        paths; otherwise only estimator parameters receive gradient.
+        offset. The gradient continues through the encoder and field
+        transforms on both the positive and negative paths.
         """
         if self.schema.k > 0:
             b = as_matrix(cat, self.schema.k, dtype=np.int64).shape[0]
@@ -154,21 +170,20 @@ class ChadModel:
             x_e, z_in.reshape(b, k, p), gamma, train, rng)
         grads = {f"est.{key}": v for key, v in est_grads.items()}
 
-        if train_encoder:
-            ae_grads: dict[str, Array] = {}
-            for ctx, g_lat in ((pos_ctx, g_pos_lat), (neg_ctx, g_neg_lat.reshape(s, p))):
-                ft_cache, enc_caches, _ = ctx
-                g_xt, enc_g = ae.encoder.backward(enc_caches, g_lat)
-                merge_grads(ae_grads, {f"enc.{key}": v for key, v in enc_g.items()})
-                merge_grads(ae_grads, ae.transform.backward(ft_cache, g_xt))
-            grads.update({f"ae.{key}": v for key, v in ae_grads.items()})
+        ae_grads: dict[str, Array] = {}
+        for ctx, g_lat in ((pos_ctx, g_pos_lat), (neg_ctx, g_neg_lat.reshape(s, p))):
+            ft_cache, enc_caches, _ = ctx
+            g_xt, enc_g = ae.encoder.backward(enc_caches, g_lat)
+            merge_grads(ae_grads, {f"enc.{key}": v for key, v in enc_g.items()})
+            merge_grads(ae_grads, ae.transform.backward(ft_cache, g_xt))
+        grads.update({f"ae.{key}": v for key, v in ae_grads.items()})
         return loss, grads
 
     def loss_joint(self, cat, cont, neg_cat, neg_cont, noise, gates, lam: float,
                    gamma: float, train: bool = False,
-                   rng: np.random.Generator | None = None,
-                   train_encoder: bool = True):
+                   rng: np.random.Generator | None = None):
         """Gated sum of the two losses; a term with a zero gate is skipped.
+        Gradients reach every parameter the ungated terms depend on.
 
         Returns (total, grads, recon_part, est_part); the skipped parts are
         reported as None.
@@ -183,8 +198,7 @@ class ChadModel:
             merge_grads(grads, g, scale=lam)
         if gate_est:
             est_part, g = self.loss_estimator(
-                cat, cont, neg_cat, neg_cont, noise, gamma,
-                train_encoder=train_encoder, train=train, rng=rng)
+                cat, cont, neg_cat, neg_cont, noise, gamma, train, rng)
             total += est_part
             merge_grads(grads, g)
         return total, grads, recon_part, est_part

@@ -14,14 +14,15 @@ and shapes. A saved model is therefore self-contained for scoring.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
 
 from .autoencoder import FieldTransformSpec
 from .data import NormalizationStats, RecordSchema
-from .errors import DataError
-from .model import ChadModel, ModelConfig
+from .errors import DataError, SchemaError
+from .model import ChadModel, ModelConfig, parameter_count
 
 FORMAT_VERSION = 1
 
@@ -47,31 +48,52 @@ def save_model(path, model: ChadModel, stats: NormalizationStats):
 
 
 def load_model(path):
-    """Rebuild (model, stats) from a saved file."""
+    """Rebuild (model, stats) from a saved file.
+
+    Any file that is not a well-formed model raises DataError.
+    """
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         raw_len = f.read(8)
         if len(raw_len) != 8:
             raise DataError(f"{path}: truncated model file")
         (header_len,) = struct.unpack("<Q", raw_len)
+        if header_len > size - 8:
+            raise DataError(f"{path}: truncated model header "
+                            f"({header_len} bytes declared, file has {size})")
         blob = f.read(header_len)
         if len(blob) != header_len:
             raise DataError(f"{path}: truncated model header")
-        header = json.loads(blob.decode())
+        try:
+            header = json.loads(blob.decode("utf-8"))
+        except (ValueError, RecursionError) as err:   # bad UTF-8, bad or too deep JSON
+            raise DataError(f"{path}: model header is not UTF-8 JSON: {err}") from None
+        if not isinstance(header, dict):
+            raise DataError(f"{path}: model header is not a JSON object")
         if header.get("format_version") != FORMAT_VERSION:
             raise DataError(
                 f"{path}: unsupported format version {header.get('format_version')}")
         payload = f.read()
 
-    schema = RecordSchema.from_json(header["schema"])
-    config = ModelConfig.from_json(header["model_config"])
-    spec = FieldTransformSpec.from_json(header["transform_spec"])
-    stats = NormalizationStats.from_json(header["normalization"])
-    model = ChadModel(schema, config, np.random.default_rng(0), spec)
+    try:
+        schema = RecordSchema.from_json(header["schema"])
+        config = ModelConfig.from_json(header["model_config"])
+        spec = FieldTransformSpec.from_json(header["transform_spec"])
+        stats = NormalizationStats.from_json(header["normalization"])
+        entries = [(str(e["name"]), tuple(int(d) for d in e["shape"]))
+                   for e in header["params"]]
+        # nothing is allocated from sizes the payload cannot back
+        count = parameter_count(schema, config, spec)
+        if count * 8 > len(payload):
+            raise DataError(f"{path}: truncated payload: the header's layer sizes "
+                            f"need {count} parameters, the payload holds {len(payload) // 8}")
+        model = ChadModel(schema, config, np.random.default_rng(0), spec)
+    except (KeyError, TypeError, ValueError, AttributeError, SchemaError) as err:
+        raise DataError(f"{path}: malformed model header: {err!r}") from None
 
     params = model.params()
     offset = 0
-    for entry in header["params"]:
-        name, shape = entry["name"], tuple(entry["shape"])
+    for name, shape in entries:
         if name not in params or params[name].shape != shape:
             raise DataError(f"{path}: unexpected parameter {name} {shape}")
         count = int(np.prod(shape)) if shape else 1

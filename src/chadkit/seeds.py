@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-STREAM_NAMES = ("init", "shuffle", "negsampler", "noise", "dropout", "bench")
+STREAM_NAMES = ("init", "shuffle", "negsampler", "noise", "dropout")
 
 
 def named_streams(seed: int) -> dict[str, np.random.Generator]:

@@ -4,7 +4,8 @@ Phase 1 (burn-in) trains the autoencoder alone on reconstruction. Phase 2
 trains both components jointly, enabling the contrastive term only on
 even-indexed batches and decaying the reconstruction weight per epoch.
 Phase 3 freezes everything that feeds the latent space and fine-tunes the
-estimator, ramping the penalty on misclassified nominal records.
+estimator, ramping the penalty on misclassified nominal records; its frozen
+encoder runs in inference mode, without dropout.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autoencoder import FoldedEncoder
 from .data import Dataset, batch_iter
 from .errors import TrainingDiverged
 from .estimator import SecondaryNoiseSpec
@@ -99,15 +101,6 @@ class TrainLog:
                 f.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
-def joint_loss(model: ChadModel, batch, negatives, gates, lam: float, gamma: float,
-               noise=None, train: bool = False, rng=None, train_encoder: bool = True):
-    """Gated loss for one batch; see ChadModel.loss_joint."""
-    cat, cont = batch
-    neg_cat, neg_cont = negatives if negatives is not None else (None, None)
-    return model.loss_joint(cat, cont, neg_cat, neg_cont, noise, gates, lam, gamma,
-                            train, rng, train_encoder)
-
-
 class _PhaseRunner:
     """Shared batch loop for the three phases."""
 
@@ -125,7 +118,11 @@ class _PhaseRunner:
     def run(self, phase: int, opt_ae: Adam | None, opt_est: Adam | None):
         sched = self.schedule
         epochs = sched.phase_epochs[phase - 1]
-        needs_negatives = phase in (2, 3)
+        if phase == 3 and epochs:
+            # nothing feeding the latents trains, so fold the encoder and
+            # encode every record once for the whole phase
+            encoder = FoldedEncoder(self.model.autoencoder)
+            latents = encoder.encode(self.data.cat, self.data.cont)
         for epoch in range(epochs):
             lam = sched.lambda_for(phase, epoch)
             gamma = sched.gamma_for(phase, epoch)
@@ -134,19 +131,28 @@ class _PhaseRunner:
                                                    epoch_seed)):
                 gates = gates_for(phase, b_idx)
                 cat, cont = self.data.cat[idx], self.data.cont[idx]
-                negatives = noise = None
-                if needs_negatives and gates[1]:
+                neg_cat = neg_cont = noise = None
+                if gates[1]:
                     neg_cat, neg_cont = generate_negatives_batch(
                         cat, cont, self.neg_config, self.data.schema,
                         self.streams["negsampler"])
-                    negatives = (neg_cat, neg_cont)
                     if self.noise_spec.enabled:
                         noise = self.streams["noise"].standard_normal(
                             (neg_cat.shape[0], self.model.latent_dim))
-                total, grads, l_r, l_est = joint_loss(
-                    self.model, (cat, cont), negatives, gates, lam, gamma,
-                    noise=noise, train=True, rng=self.streams["dropout"],
-                    train_encoder=(phase != 3))
+                if phase == 3:
+                    neg_latents = encoder.encode(neg_cat, neg_cont)
+                    if noise is not None:
+                        neg_latents += noise
+                    # the latents take no gradient, so their gradients are dropped
+                    total, est_grads, _, _ = self.model.estimator.loss(
+                        latents[idx], neg_latents.reshape(len(idx), -1, self.model.latent_dim),
+                        gamma, train=True, rng=self.streams["dropout"])
+                    grads = {f"est.{k}": g for k, g in est_grads.items()}
+                    l_r, l_est = None, total
+                else:
+                    total, grads, l_r, l_est = self.model.loss_joint(
+                        cat, cont, neg_cat, neg_cont, noise, gates, lam, gamma,
+                        train=True, rng=self.streams["dropout"])
                 if not np.isfinite(total):
                     raise TrainingDiverged(
                         f"non-finite loss {total} at phase {phase}, epoch {epoch}, "

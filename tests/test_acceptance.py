@@ -75,8 +75,7 @@ def test_criterion_1_gradient_suite():
         return model.loss_recon(cat, cont)
 
     def contrastive():
-        loss, grads = model.loss_estimator(cat, cont, neg_cat, neg_cont, noise,
-                                           gamma=1.3, train_encoder=True)
+        loss, grads = model.loss_estimator(cat, cont, neg_cat, neg_cont, noise, gamma=1.3)
         return loss, grads
 
     def gated_joint():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chadkit.autoencoder import (Autoencoder, FieldTransform, FieldTransformSpec,
-                                 default_embed_dim, field_transform)
+                                 FoldedEncoder, default_embed_dim, field_transform)
 from chadkit.data import Record, RecordSchema
 from chadkit.errors import SchemaError
 from chadkit.nn import mse_loss
@@ -167,3 +167,51 @@ class TestAutoencoder:
         assert dec_dims == [8, 16, ae.transformed_dim]
         assert ae.decoder.layers[-1].activation == "sigmoid"
         assert all(l.activation == "tanh" for l in ae.decoder.layers[:-1])
+
+
+class TestFoldedEncoder:
+    @pytest.mark.parametrize("arities, r", [
+        ((3, 7, 12), 5),       # identity continuous block
+        ((4, 30), 40),         # r > 32: the continuous block goes through g.W
+        ((), 6),               # no categorical fields
+    ])
+    def test_matches_inference_encode(self, arities, r):
+        schema = schema_with(arities, r)
+        spec = FieldTransformSpec.for_schema(schema)
+        assert (spec.cont_mode == "linear") == (r > 32)
+        rng = np.random.default_rng(7)
+        ae = Autoencoder(schema, spec, (16, 8, 4), dropout=0.2, rng=rng)
+        for layer in ae.encoder.layers:
+            layer.b[...] = rng.normal(size=layer.b.shape)
+        n = 50
+        cat = np.stack([rng.integers(0, a, n) for a in arities], axis=1) if arities \
+            else np.zeros((n, 0), dtype=np.int64)
+        cont = rng.random((n, r))
+        want, _ = ae.encode(cat, cont, train=False)
+        got = FoldedEncoder(ae).encode(cat, cont)
+        assert got.shape == want.shape == (n, 4)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_out_of_range_index_raises_through_score_records(self):
+        from chadkit.model import ChadModel, ModelConfig
+        schema = schema_with((3, 4), 2)
+        model = ChadModel(schema, ModelConfig(encoder_sizes=(8, 4)))
+        cont = np.full((1, 2), 0.5)
+        for bad in ([[3, 0]], [[0, -1]], [[0, 4]]):
+            with pytest.raises(SchemaError, match="out of range"):
+                model.score_records(np.array(bad), cont)
+
+
+@pytest.mark.parametrize("arities, r, sizes", [
+    ((3, 7, 12), 5, (16, 8, 4)),
+    ((4, 30), 40, (12, 6)),    # g.W present
+    ((), 6, (5,)),             # no categorical fields, a single encoder layer
+])
+def test_parameter_count_matches_built_model(arities, r, sizes):
+    from chadkit.model import ChadModel, ModelConfig, parameter_count
+    schema = schema_with(arities, r)
+    config = ModelConfig(encoder_sizes=sizes)
+    spec = FieldTransformSpec.for_schema(schema)
+    model = ChadModel(schema, config, np.random.default_rng(0), spec)
+    assert parameter_count(schema, config, spec) == sum(
+        v.size for v in model.params().values())

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -133,6 +134,31 @@ class TestScore:
         assert len(rows) - 1 == 5
         report = json.loads(out.with_suffix(".csv.report.json").read_text())
         assert report["rows_dropped_unseen"] == 1
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_nonfinite_cell_dropped_and_reported(self, workspace, tmp_path, cell):
+        src = (workspace / "train.csv").read_text().splitlines()
+        parts = src[3].split(",")
+        parts[2] = cell
+        data = tmp_path / "nonfinite.csv"
+        data.write_text("\n".join(src[:3] + [",".join(parts)] + src[4:8]) + "\n")
+        out = tmp_path / "scores.csv"
+        rc = main(["score", "--model", str(workspace / "run/model.chad"),
+                   "--data", str(data), "--out", str(out)])
+        assert rc == 0
+        rows = list(csv.reader(open(out)))[1:]
+        assert sorted(int(r[0]) for r in rows) == list(range(6))
+        assert all(math.isfinite(float(r[1])) for r in rows)
+        report = json.loads(out.with_suffix(".csv.report.json").read_text())
+        assert report["rows_dropped_nonfinite"] == 1
+        assert report["rows_dropped_missing"] == 0
+
+    def test_corrupt_model_exits_2(self, workspace, tmp_path):
+        model = tmp_path / "corrupt.chad"
+        model.write_bytes(b"\x00" * 7 + b"\x40" + b"junk")
+        rc = main(["score", "--model", str(model),
+                   "--data", str(workspace / "train.csv"), "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
 
     def test_missing_model_exits_2(self, tmp_path):
         rc = main(["score", "--model", str(tmp_path / "no.chad"),

@@ -102,6 +102,41 @@ class TestLoadCsv:
         assert ds.n == 1
         assert report.rows_dropped_missing == 1
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_nonfinite_cell_dropped_from_scoring_input(self, tmp_path, small_schema, cell):
+        path = tmp_path / "t.csv"
+        path.write_text("color,shape,size,weight,width,height\n"
+                        "red,circle,1,2,3,4\n"
+                        f"red,circle,1,{cell},3,4\n"
+                        "blue,square,5,6,7,8\n")
+        ds, report = load_csv(path, small_schema, drop_nonfinite=True)
+        assert ds.n == 2 and report.rows_kept == 2
+        assert report.rows_dropped_nonfinite == 1
+        assert report.rows_dropped_missing == 0
+        assert report.to_json()["rows_dropped_nonfinite"] == 1
+        assert ds.ids.tolist() == [0, 1]
+        assert ds.cont[:, 0].tolist() == [1.0, 5.0]
+
+    @pytest.mark.parametrize("fixed_vocabs", [False, True])
+    def test_nonfinite_cell_kept_in_training_input(self, tmp_path, small_schema, fixed_vocabs):
+        path = tmp_path / "t.csv"
+        path.write_text("color,shape,size,weight,width,height\n"
+                        "red,circle,1,nan,3,4\n")
+        schema = small_schema if fixed_vocabs else RecordSchema(small_schema.cat_fields,
+                                                                small_schema.cont_fields)
+        ds, report = load_csv(path, schema)
+        assert ds.n == 1 and report.rows_dropped_nonfinite == 0
+
+    def test_nonfinite_cell_without_categorical_fields(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("size,weight\n1,inf\n2,3\n")
+        schema = RecordSchema([], ["size", "weight"])
+        ds, report = load_csv(path, schema)
+        assert ds.n == 2 and report.rows_dropped_nonfinite == 0
+        ds, report = load_csv(path, schema, drop_nonfinite=True)
+        assert ds.n == 1 and report.rows_dropped_nonfinite == 1
+        assert ds.cont.tolist() == [[2.0, 3.0]]
+
     def test_labels_parsed(self, tmp_path, small_schema):
         path = tmp_path / "t.csv"
         path.write_text("color,shape,size,weight,width,height,label\n"

@@ -112,3 +112,72 @@ class TestCorruptFiles:
         (tmp_path / "v999.chad").write_bytes(out)
         with pytest.raises(DataError, match="version"):
             load_model(tmp_path / "v999.chad")
+
+    def _with_header(self, tmp_path, model_and_stats, edit):
+        """A saved model whose header bytes are replaced by ``edit(header)``."""
+        model, stats = model_and_stats
+        path = tmp_path / "m.chad"
+        save_model(path, model, stats)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[:8])
+        new_header = edit(json.loads(blob[8:8 + header_len].decode()))
+        bad = tmp_path / "bad.chad"
+        bad.write_bytes(struct.pack("<Q", len(new_header)) + new_header
+                        + blob[8 + header_len:])
+        return bad
+
+    def test_header_length_past_end_of_file(self, tmp_path, model_and_stats):
+        model, stats = model_and_stats
+        path = tmp_path / "m.chad"
+        save_model(path, model, stats)
+        bad = tmp_path / "huge.chad"
+        bad.write_bytes(struct.pack("<Q", 2**62) + path.read_bytes()[8:])
+        with pytest.raises(DataError, match="truncated model header"):
+            load_model(bad)
+
+    def test_header_not_utf8(self, tmp_path, model_and_stats):
+        bad = self._with_header(tmp_path, model_and_stats, lambda h: b"\xff\xfe{}")
+        with pytest.raises(DataError, match="UTF-8 JSON"):
+            load_model(bad)
+
+    @pytest.mark.parametrize("text", [b"{not json", b"[1, 2]"])
+    def test_header_not_a_json_object(self, tmp_path, model_and_stats, text):
+        bad = self._with_header(tmp_path, model_and_stats, lambda h: text)
+        with pytest.raises(DataError, match="JSON"):
+            load_model(bad)
+
+    def test_header_key_missing(self, tmp_path, model_and_stats):
+        def drop_config(header):
+            del header["model_config"]
+            return json.dumps(header).encode()
+        bad = self._with_header(tmp_path, model_and_stats, drop_config)
+        with pytest.raises(DataError, match="malformed model header"):
+            load_model(bad)
+
+    @pytest.mark.parametrize("key, value", [
+        ("schema", 5),
+        ("normalization", {"mins": "abc", "maxs": [1.0]}),
+        ("params", [{"name": "ae.enc.0.W", "shape": "x"}]),
+        ("model_config", {"encoder_sizes": [8, -4], "embed_cap": 32,
+                          "cont_threshold": 32, "g_dim": 32, "dropout_ae": 0.2,
+                          "dropout_est": 0.1}),
+    ])
+    def test_header_key_mistyped(self, tmp_path, model_and_stats, key, value):
+        bad = self._with_header(tmp_path, model_and_stats,
+                                lambda h: json.dumps({**h, key: value}).encode())
+        with pytest.raises(DataError, match="malformed model header"):
+            load_model(bad)
+
+    @pytest.mark.parametrize("sizes", [[30000, 30000], [10**15, 2], [11, 5]])
+    def test_layer_sizes_past_payload_rejected_before_allocating(
+            self, tmp_path, model_and_stats, sizes, monkeypatch):
+        def edit(header):
+            header["model_config"]["encoder_sizes"] = sizes
+            return json.dumps(header).encode()
+        bad = self._with_header(tmp_path, model_and_stats, edit)
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("model built from unchecked sizes")
+        monkeypatch.setattr("chadkit.persist.ChadModel", no_model)
+        with pytest.raises(DataError, match="truncated payload"):
+            load_model(bad)

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from chadkit.data import batch_iter
 from chadkit.errors import TrainingDiverged
 from chadkit.model import ChadModel, ModelConfig
-from chadkit.negsampler import NegSamplerConfig
+from chadkit.negsampler import NegSamplerConfig, generate_negatives_batch
+from chadkit.nn import Adam
+from chadkit.seeds import child_seed, named_streams
 from chadkit.synthdata import make_clustered_dataset
 from chadkit.trainer import (TrainLog, TrainSchedule, gates_for, run_phase1,
                              run_phase2, run_phase3, train)
@@ -85,7 +88,7 @@ class TestJointLoss:
         est_only, _, l_r, l_est = model.loss_joint(
             cat, cont, ncat, ncont, None, (0, 1), lam=0.123, gamma=1.0)
         assert l_r is None
-        direct_est, _ = model.loss_estimator(cat, cont, ncat, ncont, None, 1.0, True)
+        direct_est, _ = model.loss_estimator(cat, cont, ncat, ncont, None, 1.0)
         assert est_only == pytest.approx(direct_est, rel=1e-12)
 
         lam = math.exp(-1)
@@ -197,6 +200,46 @@ class TestPhase3:
         assert all(np.array_equal(ae_before[k], after[k]) for k in ae_before)
         assert any(not np.array_equal(est_before[k], after[k]) for k in est_before)
 
+    def test_mapped_continuous_block_is_frozen(self):
+        # r > 32, so the continuous block goes through g.W
+        ds = make_clustered_dataset(150, arities=(4, 5), n_cont=36, n_clusters=3, seed=2)
+        model = build_model(ds)
+        assert "ae.g.W" in model.params()
+        before = model.snapshot(model.autoencoder_params().keys())
+        run_phase3(model, ds, TrainSchedule(phase_epochs=(0, 0, 2), **SCHED),
+                   NegSamplerConfig(m=2))
+        after = model.params()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
+
+    def test_matches_plain_reference_loop(self, toy_data):
+        # the loop phase 3 stands for: per batch, encode positives and negatives
+        # with the plain encoder in inference mode, then run the estimator's
+        # two-pass loss with training dropout
+        sched = TrainSchedule(phase_epochs=(0, 0, 2), seed=3, **SCHED)
+        neg = NegSamplerConfig(m=3)
+        model, ref = build_model(toy_data), build_model(toy_data)
+        run_phase3(model, toy_data, sched, neg)
+
+        streams = named_streams(sched.seed)
+        opt = Adam(ref.estimator_params(), sched.learning_rate)
+        for epoch in range(2):
+            gamma = sched.gamma_for(3, epoch)
+            for idx in batch_iter(toy_data.n, sched.batch_size,
+                                  child_seed(streams["shuffle"])):
+                cat, cont = toy_data.cat[idx], toy_data.cont[idx]
+                ncat, ncont = generate_negatives_batch(cat, cont, neg, toy_data.schema,
+                                                       streams["negsampler"])
+                noise = streams["noise"].standard_normal((ncat.shape[0], ref.latent_dim))
+                x_e, _ = ref.autoencoder.encode(cat, cont)
+                z_e, _ = ref.autoencoder.encode(ncat, ncont)
+                _, grads, _, _ = ref.estimator.loss(
+                    x_e, (z_e + noise).reshape(len(idx), neg.m, -1), gamma,
+                    True, streams["dropout"])
+                opt.step({f"est.{k}": g for k, g in grads.items()})
+        got = model.params()
+        for key, want in ref.estimator_params().items():
+            np.testing.assert_allclose(got[key], want, rtol=1e-9, atol=1e-12)
+
     def test_gamma_ramp_endpoints_in_log(self, toy_data):
         model = build_model(toy_data)
         log = TrainLog()
@@ -231,6 +274,15 @@ class TestDeterminism:
         assert set(a) == set(b)
         for key in a:
             assert np.array_equal(a[key], b[key]), key
+
+    def test_first_draw_of_each_stream_is_pinned(self):
+        # drawn while a sixth, unused stream was still spawned last: removing
+        # the last child of a SeedSequence leaves the others' draws unchanged
+        streams = named_streams(1)
+        first = {name: int(g.integers(0, 2**63 - 1)) for name, g in streams.items()}
+        assert first == {"init": 6447455697624344478, "shuffle": 4388153156890594172,
+                         "negsampler": 2150598011306793289, "noise": 1052614132938589681,
+                         "dropout": 5635765635411543465}
 
     def test_gate_truth_table_over_full_run(self, toy_data):
         model = build_model(toy_data)
