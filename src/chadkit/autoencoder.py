@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Record, RecordSchema, as_matrix
+from .data import RecordSchema, as_matrix
 from .errors import SchemaError
 from .nn import Array, DenseStack, glorot_uniform, mse_loss, mse_loss_backward
 
@@ -152,12 +152,6 @@ class FieldTransform:
         return out
 
 
-def field_transform(record: Record, transform: FieldTransform) -> Array:
-    """Transformed representation of a single record."""
-    x_t, _ = transform.forward(record.cat[None, :], record.cont[None, :])
-    return x_t[0]
-
-
 class Autoencoder:
     """Field transform + tanh encoder pyramid + dense decoder.
 
@@ -227,11 +221,6 @@ class Autoencoder:
         out.update({f"dec.{k}": v for k, v in self.decoder.params().items()})
         return out
 
-    def encoder_param_keys(self) -> tuple[str, ...]:
-        """Keys of the parameters that feed the latent representation."""
-        keys = [k for k in self.params() if not k.startswith("dec.")]
-        return tuple(keys)
-
 
 class FoldedEncoder:
     """Inference-mode encoder with the field transform folded into layer 0.
@@ -263,7 +252,16 @@ class FoldedEncoder:
 
     def encode(self, cat: Array, cont: Array) -> Array:
         """Latent vectors, (n, latent_dim)."""
+        return self._forward(*check_inputs(self.schema, cat, cont))
+
+    def encode_chunks(self, cat: Array, cont: Array, rows: int):
+        """Latent vectors of consecutive ``rows``-row slices of the input, one
+        array per slice (one empty array for an empty input)."""
         cat, cont = check_inputs(self.schema, cat, cont)
+        for start in range(0, max(cat.shape[0], 1), rows):
+            yield self._forward(cat[start:start + rows], cont[start:start + rows])
+
+    def _forward(self, cat: Array, cont: Array) -> Array:
         h = cont @ self.w_cont.T
         h += self.bias
         for w, table in enumerate(self.tables):

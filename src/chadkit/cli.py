@@ -21,10 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .conceptbench import (ConceptConfig, GammaClusterSpec, GaussianBlobSpec,
-                           gen_concept_data, run_concept_bench)
 from .data import (RecordSchema, apply_normalize, filter_rare_entities, fit_normalize,
-                   load_csv, read_schema_file)
+                   load_csv, read_csv_header, read_schema_file)
 from .errors import (ChadkitError, ConfigError, DataError, MetricError, SchemaError,
                      TrainingDiverged)
 from .estimator import SecondaryNoiseSpec
@@ -134,7 +132,7 @@ def cmd_train(args) -> int:
     config = _load_config(args.config)
     problems: list[str] = []
     _check_keys(config, "config",
-                allowed=("schema", "train_data", "min_count", "unseen_policy", "clamp",
+                allowed=("schema", "train_data", "min_count", "clamp",
                          "label_field", "model", "negatives", "train",
                          "secondary_noise", "seed", "out_dir"),
                 required=("schema", "train_data", "min_count"), problems=problems)
@@ -157,9 +155,15 @@ def cmd_train(args) -> int:
     cat_fields, cont_fields = read_schema_file(config["schema"])
     schema = RecordSchema(cat_fields, cont_fields)
     dataset, report = load_csv(config["train_data"], schema,
-                               unseen_policy=config.get("unseen_policy", "reject"),
                                label_field=config.get("label_field"))
     dataset = filter_rare_entities(dataset, config["min_count"])
+    if dataset.n == 0:
+        raise DataError(
+            f"{config['train_data']}: no training rows left: {report.rows_read} read, "
+            f"{report.rows_kept} kept after loading ({report.rows_dropped_missing} with "
+            f"empty cells, {report.rows_dropped_unseen} unseen, "
+            f"{report.rows_dropped_nonfinite} non-finite dropped), 0 after "
+            f"min_count {config['min_count']} pruning")
     stats = fit_normalize(dataset)
     dataset = apply_normalize(stats, dataset, clamp=bool(config.get("clamp", False)))
 
@@ -189,16 +193,14 @@ def cmd_train(args) -> int:
 # ---- score -----------------------------------------------------------------
 
 
-def _load_for_model(model: ChadModel, stats, data_path, unseen_policy="reject",
-                    label_field=None):
-    with open(data_path, newline="") as f:
-        header = next(csv.reader(f), [])
+def _load_for_model(model: ChadModel, stats, data_path, label_field=None):
+    header = read_csv_header(data_path)
     wanted = set(model.schema.cat_fields) | set(model.schema.cont_fields)
     missing = wanted - set(header)
     if missing:
         raise SchemaError(f"{data_path} lacks model schema columns {sorted(missing)}")
-    dataset, report = load_csv(data_path, model.schema, unseen_policy=unseen_policy,
-                               label_field=label_field, drop_nonfinite=True)
+    dataset, report = load_csv(data_path, model.schema, label_field=label_field,
+                               drop_nonfinite=True)
     if dataset.schema.hash() != model.schema.hash():
         raise SchemaError(f"{data_path} introduced categories not in the model schema")
     return apply_normalize(stats, dataset), report
@@ -216,11 +218,10 @@ def cmd_score(args) -> int:
     out_path = Path(args.out)
     if out_path.parent != Path(""):
         out_path.parent.mkdir(parents=True, exist_ok=True)
+    # the bytes csv.writer would write, in one write
+    lines = map("{},{:.12g}\r\n".format, scored.ids.tolist(), scored.scores.tolist())
     with open(out_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["record_id", "score"])
-        for rid, s in zip(scored.ids, scored.scores):
-            writer.writerow([int(rid), f"{s:.12g}"])
+        f.write("record_id,score\r\n" + "".join(lines))
     _write_json(out_path.with_suffix(out_path.suffix + ".report.json"),
                 report.to_json())
     print(f"{len(scored.ids)} scores written to {out_path}")
@@ -288,7 +289,9 @@ def cmd_eval(args) -> int:
 # ---- bench-concept ---------------------------------------------------------
 
 
-def _concept_config(obj: dict, problems: list) -> ConceptConfig:
+def _concept_config(obj: dict, problems: list):
+    from .conceptbench import ConceptConfig, GammaClusterSpec, GaussianBlobSpec
+
     allowed = ("clusters", "blobs", "n_per_cluster", "n_per_blob", "eps_factor",
                "box_expand")
     _check_keys(obj, "concept", allowed, (), problems)
@@ -316,6 +319,9 @@ def _concept_config(obj: dict, problems: list) -> ConceptConfig:
 
 
 def cmd_bench_concept(args) -> int:
+    # scipy.stats and scipy.linalg load here, not on every CLI call
+    from .conceptbench import gen_concept_data, run_concept_bench
+
     config = _load_config(args.config) if args.config else {}
     problems: list[str] = []
     _check_keys(config, "config", ("concept", "seeds", "seed", "out_dir"), (),

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
-import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -184,123 +185,199 @@ def read_schema_file(path) -> tuple[list[str], list[str]]:
     return cats, conts
 
 
-RESERVED_UNSEEN = "<unseen>"
+# Rows read and converted at a time: the loader never holds more of the file
+# as Python strings than one block.
+LOAD_BLOCK_ROWS = 16384
+
+_LABELS = {"0": 0, "nominal": 0, "normal": 0, "1": 1, "anomaly": 1, "anomalous": 1}
 
 
-def load_csv(path, schema: RecordSchema, unseen_policy: str = "reject",
-             label_field: str | None = None, drop_nonfinite: bool = False):
-    """Read an RFC-4180 CSV into a Dataset.
+def read_csv_header(path) -> list[str]:
+    """The first row of a CSV file, or [] when the file is empty."""
+    with open(path, newline="", encoding="utf-8") as f:
+        rows, fault = _read_rows(csv.reader(f), path, 1)
+    if fault is not None:
+        raise fault
+    return rows[0] if rows else []
+
+
+def load_csv(path, schema: RecordSchema, label_field: str | None = None,
+             drop_nonfinite: bool = False):
+    """Read an RFC-4180 UTF-8 CSV into a Dataset.
 
     When the schema has empty vocabularies they are built from the file
-    (training mode). Otherwise values missing from the vocabulary follow
-    ``unseen_policy``: "reject" drops the row, "reserve" maps it to a
-    reserved index appended to the vocabulary.
+    (training mode); otherwise a row holding a value missing from the
+    vocabulary is dropped and counted as unseen.
 
     Returns (dataset, report). Rows with empty cells are dropped and counted;
     a non-numeric continuous cell is an error naming the row and column.
     With ``drop_nonfinite`` (scoring input), a row with a nan or infinite
     continuous cell is dropped and counted too, so it is never scored.
+
+    The file is read ``LOAD_BLOCK_ROWS`` rows at a time and each block is
+    converted column by column. A row's fate is decided in this order: wrong
+    cell count (error), empty cell, unseen category, unparsable number
+    (error), non-finite value, unknown label (error). When a file has several
+    errors, the one of the first faulty row is raised.
     """
-    if unseen_policy not in ("reject", "reserve"):
-        raise DataError(f"unknown unseen_policy {unseen_policy!r}")
-
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
-
-    wanted = set(schema.cat_fields) | set(schema.cont_fields)
-    if label_field is not None:
-        wanted.add(label_field)
-    missing = wanted - set(header)
-    if missing:
-        raise DataError(f"{path}: missing columns {sorted(missing)}")
-
-    col = {name: header.index(name) for name in header}
-    cat_cols = [col[name] for name in schema.cat_fields]
-    cont_cols = [col[name] for name in schema.cont_fields]
-    label_col = col[label_field] if label_field is not None else None
-
-    building = all(len(v) == 0 for v in schema.vocabs) and schema.k > 0
-    vocabs = [dict(v) for v in schema.vocabs]
-    if unseen_policy == "reserve" and not building:
-        for v in vocabs:
-            v.setdefault(RESERVED_UNSEEN, len(v))
-
-    report = LoadReport(rows_read=len(rows))
-    cat_rows, cont_rows, label_rows = [], [], []
-    for line_no, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}")
-        cells = [row[c] for c in cat_cols] + [row[c] for c in cont_cols]
-        if "" in cells:
-            report.rows_dropped_missing += 1
-            continue
-
-        cat_out = [0] * len(cat_cols)
-        unseen = False
-        for w, c in enumerate(cat_cols):
-            value = row[c]
-            if value in vocabs[w]:
-                cat_out[w] = vocabs[w][value]
-            elif building:
-                vocabs[w][value] = len(vocabs[w])
-                cat_out[w] = vocabs[w][value]
-            elif unseen_policy == "reserve":
-                cat_out[w] = vocabs[w][RESERVED_UNSEEN]
-            else:
-                unseen = True
+        header, fault = _read_rows(reader, path, 1)
+        if fault is not None:
+            raise fault
+        if not header:
+            raise DataError(f"{path}: empty file")
+        converter = _BlockConverter(path, schema, header[0], label_field, drop_nonfinite)
+        while True:
+            rows, fault = _read_rows(reader, path, LOAD_BLOCK_ROWS)
+            converter.add(rows)
+            if fault is not None:
+                raise fault
+            if len(rows) < LOAD_BLOCK_ROWS:
                 break
-        if unseen:
-            report.rows_dropped_unseen += 1
-            continue
+    return converter.finish()
 
+
+def _read_rows(reader, path, count: int):
+    """Up to ``count`` rows, plus the DataError to raise once they are
+    handled when the file is not valid UTF-8 or not parsable as CSV."""
+    rows: list = []
+    try:
+        # list.extend keeps the rows read before an exception
+        rows.extend(itertools.islice(reader, count))
+    except csv.Error as err:
+        return rows, DataError(f"{path}: line {reader.line_num}: {err}")
+    except UnicodeDecodeError:
+        return rows, DataError(f"{path}: line {_undecodable_line(path)} is not valid UTF-8")
+    return rows, None
+
+
+def _undecodable_line(path) -> int:
+    """1-based number of the first line of ``path`` that is not valid UTF-8."""
+    line_no = 0
+    with open(path, "rb") as f:
+        for line_no, line in enumerate(f, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+    return line_no
+
+
+class _BlockConverter:
+    """Turns blocks of CSV rows into the int64/float64 arrays of a Dataset."""
+
+    def __init__(self, path, schema: RecordSchema, header: list[str],
+                 label_field: str | None, drop_nonfinite: bool):
+        wanted = set(schema.cat_fields) | set(schema.cont_fields)
+        if label_field is not None:
+            wanted.add(label_field)
+        missing = wanted - set(header)
+        if missing:
+            raise DataError(f"{path}: missing columns {sorted(missing)}")
+        col = {name: header.index(name) for name in header}
+        self.path = path
+        self.schema = schema
+        self.width = len(header)
+        self.cat_cols = [col[name] for name in schema.cat_fields]
+        self.cont_cols = [col[name] for name in schema.cont_fields]
+        self.label_col = col[label_field] if label_field is not None else None
+        self.drop_nonfinite = drop_nonfinite
+        self.building = all(len(v) == 0 for v in schema.vocabs) and schema.k > 0
+        self.vocabs = [dict(v) for v in schema.vocabs]
+        self.report = LoadReport()
+        self.cats: list[Array] = []
+        self.conts: list[Array] = []
+        self.labels: list[Array] = []
+
+    def add(self, rows: list):
+        """Convert one block; raises the error of its first faulty row."""
+        path, report = self.path, self.report
+        first_row = report.rows_read + 2    # the header is row 1
+        n = len(rows)
+        lengths = np.fromiter(map(len, rows), np.int64, n)
+        short = np.flatnonzero(lengths != self.width)
+        if short.size:
+            i = int(short[0])
+            self.add(rows[:i])
+            raise DataError(f"{path}: row {first_row + i} has {lengths[i]} cells, "
+                            f"expected {self.width}")
+
+        cat_cells = [list(map(operator.itemgetter(c), rows)) for c in self.cat_cols]
+        cont_cells = [list(map(operator.itemgetter(c), rows)) for c in self.cont_cols]
+        empty = np.zeros(n, dtype=bool)
+        for cells in cat_cells + cont_cells:
+            empty |= np.fromiter(map(operator.not_, cells), bool, n)
+        keep = ~empty
+
+        cat = np.empty((n, self.schema.k), dtype=np.int64)
+        selected = keep.tolist()
+        for w, cells in enumerate(cat_cells):
+            vocab = self.vocabs[w]
+            if self.building:
+                # first appearance, in row order, among rows with no empty cell
+                for value in dict.fromkeys(itertools.compress(cells, selected)):
+                    vocab.setdefault(value, len(vocab))
+            cat[:, w] = np.fromiter(map(vocab.get, cells, itertools.repeat(-1)), np.int64, n)
+        unseen = keep & (cat < 0).any(axis=1)
+        keep &= ~unseen
+
+        kept = np.flatnonzero(keep)
+        cont = np.empty((kept.size, self.schema.r))
+        selected = keep.tolist()
         try:
-            cont_out = [float(row[c]) for c in cont_cols]
+            for j, cells in enumerate(cont_cells):
+                cont[:, j] = np.fromiter(map(float, itertools.compress(cells, selected)),
+                                         float, kept.size)
         except ValueError:
-            _raise_unparsable(path, line_no, row, cont_cols, schema.cont_fields)
-        if drop_nonfinite and not all(map(math.isfinite, cont_out)):
-            report.rows_dropped_nonfinite += 1
-            continue
+            # the first kept cell, in row-major order, that float rejects
+            i, j = next((i, j) for i in kept.tolist() for j, cells in enumerate(cont_cells)
+                        if not _is_number(cells[i]))
+            self.add(rows[:i])
+            raise DataError(f"{path}: row {first_row + i}, column "
+                            f"{self.schema.cont_fields[j]!r}: cannot parse "
+                            f"{cont_cells[j][i]!r} as a number") from None
 
-        if label_col is not None:
-            label_rows.append(_parse_label(row[label_col], path, line_no))
-        cat_rows.append(cat_out)
-        cont_rows.extend(cont_out)
+        nonfinite = np.zeros(kept.size, dtype=bool)
+        if self.drop_nonfinite:
+            nonfinite = ~np.isfinite(cont).all(axis=1)
+            kept, cont = kept[~nonfinite], cont[~nonfinite]
 
-    out_schema = RecordSchema(schema.cat_fields, schema.cont_fields, vocabs)
-    n = len(cat_rows)
-    dataset = Dataset(
-        out_schema,
-        np.array(cat_rows, dtype=np.int64).reshape(n, schema.k),
-        np.array(cont_rows, dtype=float).reshape(n, schema.r),
-        labels=np.array(label_rows, dtype=np.int8) if label_col is not None else None,
-    )
-    report.rows_kept = n
-    report.arities = {name: len(v) for name, v in zip(out_schema.cat_fields, vocabs)}
-    return dataset, report
+        if self.label_col is not None:
+            cells = [rows[i][self.label_col] for i in kept.tolist()]
+            norm = map(str.lower, map(str.strip, cells))
+            labels = np.fromiter(map(_LABELS.get, norm, itertools.repeat(-1)),
+                                 np.int8, kept.size)
+            bad = np.flatnonzero(labels < 0)
+            if bad.size:
+                b = int(bad[0])
+                raise DataError(f"{path}: row {first_row + int(kept[b])}: "
+                                f"unknown label {cells[b]!r}")
+            self.labels.append(labels)
+
+        report.rows_read += n
+        report.rows_dropped_missing += int(empty.sum())
+        report.rows_dropped_unseen += int(unseen.sum())
+        report.rows_dropped_nonfinite += int(nonfinite.sum())
+        self.cats.append(cat[kept])
+        self.conts.append(cont)
+
+    def finish(self):
+        """(dataset, report) of every block added; at least one, maybe empty, was."""
+        schema = RecordSchema(self.schema.cat_fields, self.schema.cont_fields, self.vocabs)
+        cat, cont = np.concatenate(self.cats), np.concatenate(self.conts)
+        labels = np.concatenate(self.labels) if self.label_col is not None else None
+        self.report.rows_kept = cat.shape[0]
+        self.report.arities = {name: len(v) for name, v in zip(schema.cat_fields, self.vocabs)}
+        return Dataset(schema, cat, cont, labels=labels), self.report
 
 
-def _raise_unparsable(path, line_no: int, row, cont_cols, cont_fields):
-    """Raise the DataError naming the first continuous cell that is not a number."""
-    for c, name in zip(cont_cols, cont_fields):
-        try:
-            float(row[c])
-        except ValueError:
-            raise DataError(f"{path}: row {line_no}, column {name!r}: "
-                            f"cannot parse {row[c]!r} as a number") from None
-
-
-def _parse_label(cell: str, path, line_no: int) -> int:
-    norm = cell.strip().lower()
-    if norm in ("0", "nominal", "normal"):
-        return 0
-    if norm in ("1", "anomaly", "anomalous"):
-        return 1
-    raise DataError(f"{path}: row {line_no}: unknown label {cell!r}")
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def filter_rare_entities(dataset: Dataset, min_count: int) -> Dataset:

@@ -110,9 +110,3 @@ class Estimator:
     def params(self) -> dict[str, Array]:
         return self.stack.params()
 
-
-def estimator_loss(est: Estimator, pos_latents: Array, neg_latents: Array,
-                   gamma: float) -> float:
-    """Loss value alone, for callers that do not need gradients."""
-    loss, _, _, _ = est.loss(pos_latents, neg_latents, gamma)
-    return loss

@@ -17,6 +17,11 @@ from .errors import SchemaError
 from .estimator import Estimator
 from .nn import Array, merge_grads
 
+# Rows pushed through the folded encoder and the estimator at once when
+# encoding or scoring: the widest temporary is SCORE_CHUNK_ROWS x the first
+# encoder width, whatever the input size.
+SCORE_CHUNK_ROWS = 4096
+
 
 @dataclass
 class ModelConfig:
@@ -116,7 +121,10 @@ class ChadModel:
 
     def encode(self, cat: Array, cont: Array) -> Array:
         """Latent vectors in inference mode, through a freshly folded encoder."""
-        return FoldedEncoder(self.autoencoder).encode(cat, cont)
+        return np.concatenate(list(self._latent_chunks(cat, cont)))
+
+    def _latent_chunks(self, cat: Array, cont: Array):
+        return FoldedEncoder(self.autoencoder).encode_chunks(cat, cont, SCORE_CHUNK_ROWS)
 
     def encode_dataset(self, dataset: Dataset) -> Array:
         self.check_schema(dataset)
@@ -124,7 +132,8 @@ class ChadModel:
 
     def score_records(self, cat: Array, cont: Array) -> Array:
         """Likelihood score per record, dropout off."""
-        return self.estimator.score(self.encode(cat, cont))
+        return np.concatenate([self.estimator.score(z)
+                               for z in self._latent_chunks(cat, cont)])
 
     def check_schema(self, dataset: Dataset):
         if dataset.schema.hash() != self.schema.hash():

@@ -70,29 +70,11 @@ class DenseLayer:
         return gz @ self.W, grads
 
 
-@dataclass
-class DropoutSpec:
-    """Inverted dropout: surviving activations are scaled by 1/(1-rate)."""
-
-    rate: float = 0.0
-    seed: int = 0
-    training: bool = True
-
-    def __post_init__(self):
-        if not (0.0 <= self.rate < 1.0):
-            raise ValueError(f"dropout rate must be in [0, 1), got {self.rate}")
-
-
 def dropout_mask(rng: np.random.Generator, shape, rate: float, training: bool = True) -> Array:
     """Mask of keep-scales; all-ones at rate 0 or in inference mode."""
     if not training or rate == 0.0:
         return np.ones(shape)
     return (rng.random(shape) >= rate) / (1.0 - rate)
-
-
-def apply_dropout(x: Array, spec: DropoutSpec) -> Array:
-    rng = np.random.default_rng(spec.seed)
-    return x * dropout_mask(rng, x.shape, spec.rate, spec.training)
 
 
 class DenseStack:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -40,11 +41,22 @@ def save_model(path, model: ChadModel, stats: NormalizationStats):
         "params": [{"name": n, "shape": list(params[n].shape)} for n in names],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as f:
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for name in names:
-            f.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
+    # written beside the target and renamed over it, so a crash mid-write
+    # never leaves a truncated model file behind
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(struct.pack("<Q", len(blob)))
+            f.write(blob)
+            for name in names:
+                f.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_model(path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from chadkit.autoencoder import (Autoencoder, FieldTransform, FieldTransformSpec,
-                                 FoldedEncoder, default_embed_dim, field_transform)
-from chadkit.data import Record, RecordSchema
+                                 FoldedEncoder, default_embed_dim)
+from chadkit.data import RecordSchema
 from chadkit.errors import SchemaError
 from chadkit.nn import mse_loss
 
@@ -63,8 +63,8 @@ class TestFieldTransform:
         spec = FieldTransformSpec(embed_dims=(3,), cont_dim=0)
         transform = FieldTransform(schema, spec)
         transform.embeddings[0] = np.eye(3)
-        out = field_transform(Record(np.array([1]), np.zeros(0)), transform)
-        assert out.tolist() == [0.0, 1.0, 0.0]
+        out, _ = transform.forward(np.array([[1]]), np.zeros((1, 0)))
+        assert out.tolist() == [[0.0, 1.0, 0.0]]
 
     def test_index_out_of_range(self):
         schema = schema_with((3,), 1)
@@ -200,6 +200,35 @@ class TestFoldedEncoder:
         for bad in ([[3, 0]], [[0, -1]], [[0, 4]]):
             with pytest.raises(SchemaError, match="out of range"):
                 model.score_records(np.array(bad), cont)
+
+
+class TestChunkedScoring:
+    @pytest.mark.parametrize("arities, r", [((3, 7, 12), 5), ((), 6)])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunked_passes_match_one_pass(self, arities, r, offset):
+        from chadkit.model import SCORE_CHUNK_ROWS, ChadModel, ModelConfig
+        schema = schema_with(arities, r)
+        rng = np.random.default_rng(11)
+        model = ChadModel(schema, ModelConfig(encoder_sizes=(16, 8, 4)), rng)
+        for layer in model.autoencoder.encoder.layers:
+            layer.b[...] = rng.normal(size=layer.b.shape)
+        n = SCORE_CHUNK_ROWS + offset
+        cat = np.stack([rng.integers(0, a, n) for a in arities], axis=1) if arities \
+            else np.zeros((n, 0), dtype=np.int64)
+        cont = rng.random((n, r))
+        whole = FoldedEncoder(model.autoencoder).encode(cat, cont)
+        latents = model.encode(cat, cont)
+        scores = model.score_records(cat, cont)
+        assert latents.shape == (n, 4) and scores.shape == (n,)
+        assert np.max(np.abs(latents - whole)) <= 1e-12
+        assert np.max(np.abs(scores - model.estimator.score(whole))) <= 1e-12
+
+    def test_empty_input(self):
+        from chadkit.model import ChadModel, ModelConfig
+        model = ChadModel(schema_with((3,), 2), ModelConfig(encoder_sizes=(8, 4)))
+        cat, cont = np.zeros((0, 1), dtype=np.int64), np.zeros((0, 2))
+        assert model.encode(cat, cont).shape == (0, 4)
+        assert model.score_records(cat, cont).shape == (0,)
 
 
 @pytest.mark.parametrize("arities, r, sizes", [

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +79,41 @@ class TestTrain:
         del config["min_count"]
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 2
+
+    def test_unseen_policy_key_rejected(self, workspace, tmp_path, capsys):
+        config = json.loads((workspace / "train_cfg.json").read_text())
+        config["unseen_policy"] = "reserve"
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert "unknown key 'unseen_policy'" in capsys.readouterr().err
+
+    def test_no_rows_left_after_loading_exits_2(self, workspace, tmp_path, capsys):
+        lines = (workspace / "train.csv").read_text().splitlines()
+        emptied = [line.rsplit(",", 1)[0] + "," for line in lines[1:]]
+        data = tmp_path / "empty_cells.csv"
+        data.write_text("\n".join([lines[0], *emptied]) + "\n")
+        config = json.loads((workspace / "train_cfg.json").read_text())
+        config.update(train_data=str(data), out_dir=str(tmp_path / "out"))
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 2
+        err = capsys.readouterr().err
+        assert "no training rows left" in err and "200 read, 0 kept" in err
+        assert "200 with empty cells" in err
+        assert not (tmp_path / "out/model.chad").exists()
+
+    def test_no_rows_left_after_pruning_exits_2(self, workspace, tmp_path, capsys):
+        # categorical fields only: nothing fails on the way, training would
+        # run zero batches and save an untrained model
+        (tmp_path / "schema.json").write_text(
+            json.dumps({"cat_0": "categorical", "cat_1": "categorical"}))
+        config = json.loads((workspace / "train_cfg.json").read_text())
+        config.update(schema=str(tmp_path / "schema.json"), min_count=1000,
+                      out_dir=str(tmp_path / "out"))
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 2
+        err = capsys.readouterr().err
+        assert "200 read, 200 kept" in err and "min_count 1000" in err
+        assert not (tmp_path / "out/model.chad").exists()
 
     def test_reproducible_from_resolved_config_alone(self, workspace, tmp_path):
         resolved = json.loads((workspace / "run/resolved_config.json").read_text())
@@ -153,6 +192,22 @@ class TestScore:
         assert report["rows_dropped_nonfinite"] == 1
         assert report["rows_dropped_missing"] == 0
 
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe", "line 1 is not valid UTF-8"),
+        (None, "line 3: field larger than field limit"),
+    ])
+    def test_hostile_csv_bytes_exit_2(self, workspace, tmp_path, capsys, content, message):
+        data = tmp_path / "hostile.csv"
+        if content is None:
+            lines = (workspace / "train.csv").read_text().splitlines()
+            huge = "x" * (csv.field_size_limit() + 1)
+            content = "\n".join([*lines[:2], huge + lines[2]]).encode() + b"\n"
+        data.write_bytes(content)
+        rc = main(["score", "--model", str(workspace / "run/model.chad"),
+                   "--data", str(data), "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_corrupt_model_exits_2(self, workspace, tmp_path):
         model = tmp_path / "corrupt.chad"
         model.write_bytes(b"\x00" * 7 + b"\x40" + b"junk")
@@ -165,6 +220,14 @@ class TestScore:
                    "--data", str(tmp_path / "no.csv"),
                    "--out", str(tmp_path / "s.csv")])
         assert rc == 2
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, chadkit.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestEval:

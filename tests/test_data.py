@@ -1,13 +1,21 @@
 import collections
+import csv
 import json
+import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chadkit.data import (Dataset, RecordSchema, apply_normalize, batch_iter,
+from chadkit import data
+from chadkit.data import (Dataset, LoadReport, RecordSchema, apply_normalize, batch_iter,
                           filter_rare_entities, fit_normalize, load_csv,
                           read_schema_file)
-from chadkit.errors import DataError, SchemaError
+from chadkit.errors import ChadkitError, DataError, SchemaError
 
 from conftest import write_csv, write_schema_json
 
@@ -67,18 +75,9 @@ class TestLoadCsv:
         path.write_text("color,shape,size,weight,width,height\n"
                         "red,circle,1,2,3,4\n"
                         "mauve,circle,1,2,3,4\n")
-        ds, report = load_csv(path, small_schema, unseen_policy="reject")
+        ds, report = load_csv(path, small_schema)
         assert ds.n == 1
         assert report.rows_dropped_unseen == 1
-
-    def test_unknown_category_reserve_policy(self, tmp_path, small_schema):
-        path = tmp_path / "t.csv"
-        path.write_text("color,shape,size,weight,width,height\n"
-                        "mauve,circle,1,2,3,4\n")
-        ds, report = load_csv(path, small_schema, unseen_policy="reserve")
-        assert ds.n == 1
-        assert report.rows_dropped_unseen == 0
-        assert ds.schema.arities[0] == 4  # reserved index appended
 
     def test_bad_continuous_cell_names_row_and_column(self, tmp_path, small_schema):
         path = tmp_path / "t.csv"
@@ -152,6 +151,187 @@ class TestLoadCsv:
         ds, _ = load_csv(path, schema)
         assert ds.schema.vocabs[0] == {"zeta": 0, "alpha": 1}
         assert ds.cat[:, 0].tolist() == [0, 1, 0]
+
+
+def reference_load_csv(path, schema, label_field=None, drop_nonfinite=False):
+    """Row-at-a-time reader with load_csv's contract, kept as its oracle."""
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        rows = list(reader)
+
+    wanted = set(schema.cat_fields) | set(schema.cont_fields)
+    if label_field is not None:
+        wanted.add(label_field)
+    missing = wanted - set(header)
+    if missing:
+        raise DataError(f"{path}: missing columns {sorted(missing)}")
+
+    col = {name: header.index(name) for name in header}
+    cat_cols = [col[name] for name in schema.cat_fields]
+    cont_cols = [col[name] for name in schema.cont_fields]
+    label_col = col[label_field] if label_field is not None else None
+    building = all(len(v) == 0 for v in schema.vocabs) and schema.k > 0
+    vocabs = [dict(v) for v in schema.vocabs]
+
+    report = LoadReport(rows_read=len(rows))
+    cat_rows, cont_rows, label_rows = [], [], []
+    for line_no, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}")
+        if "" in [row[c] for c in cat_cols + cont_cols]:
+            report.rows_dropped_missing += 1
+            continue
+        cat_out = []
+        for w, c in enumerate(cat_cols):
+            if building and row[c] not in vocabs[w]:
+                vocabs[w][row[c]] = len(vocabs[w])
+            cat_out.append(vocabs[w].get(row[c]))
+        if None in cat_out:
+            report.rows_dropped_unseen += 1
+            continue
+        cont_out = []
+        for c, name in zip(cont_cols, schema.cont_fields):
+            try:
+                cont_out.append(float(row[c]))
+            except ValueError:
+                raise DataError(f"{path}: row {line_no}, column {name!r}: "
+                                f"cannot parse {row[c]!r} as a number") from None
+        if drop_nonfinite and not all(map(math.isfinite, cont_out)):
+            report.rows_dropped_nonfinite += 1
+            continue
+        if label_col is not None:
+            norm = row[label_col].strip().lower()
+            if norm in ("0", "nominal", "normal"):
+                label_rows.append(0)
+            elif norm in ("1", "anomaly", "anomalous"):
+                label_rows.append(1)
+            else:
+                raise DataError(f"{path}: row {line_no}: unknown label {row[label_col]!r}")
+        cat_rows.append(cat_out)
+        cont_rows.append(cont_out)
+
+    out_schema = RecordSchema(schema.cat_fields, schema.cont_fields, vocabs)
+    n = len(cat_rows)
+    dataset = Dataset(out_schema, np.array(cat_rows, dtype=np.int64).reshape(n, schema.k),
+                      np.array(cont_rows, dtype=float).reshape(n, schema.r),
+                      labels=np.array(label_rows, dtype=np.int8) if label_col is not None
+                      else None)
+    report.rows_kept = n
+    report.arities = {name: len(v) for name, v in zip(out_schema.cat_fields, vocabs)}
+    return dataset, report
+
+
+# Cells for generated CSVs: vocabulary values, unseen values, quoted commas
+# and line breaks, empty cells, non-finite and unparsable numbers.
+FREE_TEXT = st.text(alphabet="ab ,\"\n\r", max_size=4)
+CAT_CELLS = st.one_of(st.sampled_from(["red", "green", "blue", "circle", "square"]),
+                      st.sampled_from(["red", "green", "blue", "circle", "square"]),
+                      st.sampled_from(["", "mauve", "a,b", "x\ny", '"q"']), FREE_TEXT)
+CONT_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                       st.integers(-5, 5).map(str),
+                       st.sampled_from(["", "nan", "inf", "-inf", " 1.5 ", "1e999", "abc",
+                                        "1,5", "2\n"]))
+LABEL_CELLS = st.sampled_from(["0", "1", " Anomaly", "normal", "0", "1", "", "bad"])
+# a row's cell count: usually the header's, sometimes one short or one over
+WIDTH_CHANGES = st.sampled_from([0] * 30 + [-1, 1])
+CSV_ROWS = st.lists(st.tuples(st.lists(CAT_CELLS, min_size=2, max_size=2),
+                              st.lists(CONT_CELLS, min_size=2, max_size=2),
+                              LABEL_CELLS, FREE_TEXT, WIDTH_CHANGES),
+                    max_size=14)
+
+
+class TestBlockLoaderMatchesRowReader:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=CSV_ROWS, block=st.integers(1, 4), fixed_vocabs=st.booleans(),
+           with_label=st.booleans(), drop_nonfinite=st.booleans())
+    def test_same_dataset_report_or_error(self, rows, block, fixed_vocabs, with_label,
+                                          drop_nonfinite):
+        vocabs = [{"red": 0, "green": 1, "blue": 2}, {"circle": 0, "square": 1}] \
+            if fixed_vocabs else None
+        schema = RecordSchema(["color", "shape"], ["size", "weight"], vocabs)
+        label_field = "label" if with_label else None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            with open(path, "w", newline="", encoding="utf-8") as f:
+                writer = csv.writer(f)
+                # an unused column, placed between used ones
+                writer.writerow(["shape", "note", "size", "color", "label", "weight"])
+                for (color, shape), (size, weight), label, note, width in rows:
+                    cells = [shape, note, size, color, label, weight]
+                    writer.writerow(cells[:len(cells) + width] if width < 0
+                                    else cells + ["extra"] * width)
+            try:
+                want = reference_load_csv(path, schema, label_field, drop_nonfinite)
+            except DataError as err:
+                want = err
+            try:
+                with mock.patch.object(data, "LOAD_BLOCK_ROWS", block):
+                    got = load_csv(path, schema, label_field, drop_nonfinite)
+            except Exception as err:   # noqa: BLE001 - only ChadkitError may escape
+                assert isinstance(err, ChadkitError), repr(err)
+                got = err
+        if isinstance(want, DataError):
+            assert isinstance(got, DataError) and str(got) == str(want)
+            return
+        assert not isinstance(got, Exception), got
+        (want_ds, want_report), (got_ds, got_report) = want, got
+        assert got_report.to_json() == want_report.to_json()
+        assert [list(v.items()) for v in got_ds.schema.vocabs] == \
+            [list(v.items()) for v in want_ds.schema.vocabs]
+        assert np.array_equal(got_ds.cat, want_ds.cat)
+        assert got_ds.cat.dtype == np.int64 and got_ds.cont.dtype == np.float64
+        assert np.array_equal(got_ds.cont, want_ds.cont, equal_nan=True)
+        assert np.array_equal(got_ds.ids, want_ds.ids)
+        if with_label:
+            assert np.array_equal(got_ds.labels, want_ds.labels)
+        else:
+            assert got_ds.labels is None
+
+
+    @pytest.mark.parametrize("faults, message", [
+        (["red,circle,1,2,bad", "red,circle,x,2,0", "red,circle,1,2"],
+         r"row 2: unknown label 'bad'"),
+        (["red,circle,x,2,0", "red,circle,1,2"], r"row 2, column 'size'"),
+        (["red,circle,1,2,0,extra", "red,circle,x,2,0"], r"row 2 has 6 cells"),
+    ])
+    def test_first_faulty_row_in_block_wins(self, tmp_path, faults, message):
+        schema = RecordSchema(["color", "shape"], ["size", "weight"])
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(["color,shape,size,weight,label", *faults]) + "\n")
+        with pytest.raises(DataError, match=message):
+            load_csv(path, schema, label_field="label")
+
+class TestHostileBytes:
+    HEADER = "color,shape,size,weight,width,height\n"
+
+    def test_field_past_csv_limit_is_data_error(self, tmp_path, small_schema):
+        path = tmp_path / "t.csv"
+        path.write_text(self.HEADER + "red,circle,1,2,3,4\n"
+                        + "red," + "x" * (csv.field_size_limit() + 1) + ",1,2,3,4\n")
+        with pytest.raises(DataError, match=r"line 3: field larger than field limit"):
+            load_csv(path, small_schema)
+
+    def test_earlier_faulty_row_wins_over_csv_error(self, tmp_path, small_schema):
+        path = tmp_path / "t.csv"
+        path.write_text(self.HEADER + "red,circle,1,2,3\n"
+                        + "red," + "x" * (csv.field_size_limit() + 1) + ",1,2,3,4\n")
+        with pytest.raises(DataError, match=r"row 2 has 5 cells"):
+            load_csv(path, small_schema)
+
+    @pytest.mark.parametrize("lines, line", [
+        ([b"\xff\xfe"], 1),
+        ([b"color,shape,size,weight,width,height", b"red,circle,1,2,3,4",
+          b"r\xe9d,circle,1,2,3,4"], 3),
+    ])
+    def test_non_utf8_bytes_are_data_error(self, tmp_path, small_schema, lines, line):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(DataError, match=rf"line {line} is not valid UTF-8"):
+            load_csv(path, small_schema)
 
 
 class TestFilterRare:

@@ -156,15 +156,6 @@ class TestEstimatorLossGradients:
             neg[i, k, j] += h
             assert g_neg[i, k, j] == pytest.approx((up - down) / (2 * h), rel=1e-4)
 
-    def test_loss_only_wrapper_matches_method(self):
-        from chadkit.estimator import estimator_loss
-        rng = np.random.default_rng(14)
-        est = Estimator(4, rng=rng)
-        pos = rng.normal(size=(6, 4))
-        neg = rng.normal(size=(6, 3, 4))
-        full, _, _, _ = est.loss(pos, neg, gamma=1.2)
-        assert estimator_loss(est, pos, neg, 1.2) == full
-
     def test_trained_model_ranks_nominal_above_fresh_negatives(self):
         # rank-based AUC of held-out nominal vs freshly generated negatives
         import chadkit as ck

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from chadkit.errors import SchemaError, TrainingDiverged
-from chadkit.nn import (Adam, DenseLayer, DenseStack, DropoutSpec, adam_step,
-                        apply_dropout, dropout_mask, glorot_uniform, grad_check,
+from chadkit.nn import (Adam, DenseLayer, DenseStack, adam_step,
+                        dropout_mask, glorot_uniform, grad_check,
                         init_adam, merge_grads, mse_loss, mse_loss_backward)
 
 
@@ -140,10 +140,6 @@ class TestDropout:
         assert np.all(dropout_mask(rng, (5, 5), 0.0) == 1.0)
         assert np.all(dropout_mask(rng, (5, 5), 0.5, training=False) == 1.0)
 
-    def test_spec_validates_rate(self):
-        with pytest.raises(ValueError):
-            DropoutSpec(rate=1.0)
-
     def test_rescaled_expectation_matches_raw_activation(self):
         rng = np.random.default_rng(7)
         x = 0.8
@@ -152,11 +148,6 @@ class TestDropout:
         masked = x * dropout_mask(rng, (draws,), rate)
         se = masked.std(ddof=1) / math.sqrt(draws)
         assert abs(masked.mean() - x) < 3 * se
-
-    def test_apply_dropout_inference_identity(self):
-        x = np.arange(6.0).reshape(2, 3)
-        spec = DropoutSpec(rate=0.5, seed=1, training=False)
-        assert np.array_equal(apply_dropout(x, spec), x)
 
 
 class TestGradCheck:

@@ -51,6 +51,22 @@ class TestRoundTrip:
         assert np.array_equal(a, b)
 
 
+    def test_failed_write_keeps_old_file_and_leaves_no_temporary(
+            self, tmp_path, model_and_stats, monkeypatch):
+        model, stats = model_and_stats
+        path = tmp_path / "m.chad"
+        save_model(path, model, stats)
+        before = path.read_bytes()
+        params = model.params()
+        # sorts last, so the header and every real parameter are written first
+        unconvertible = dict(params, zzz=np.array(["not a number"], dtype=object))
+        monkeypatch.setattr(model, "params", lambda: unconvertible)
+        with pytest.raises(ValueError):
+            save_model(path, model, stats)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.chad"]
+
+
 class TestFileLayout:
     def test_header_prefix_and_payload_alignment(self, tmp_path, model_and_stats):
         model, stats = model_and_stats
