@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RecordSchema, as_matrix
+from .data import RecordSchema, as_batch
 from .errors import SchemaError
 from .nn import Array, DenseStack, glorot_uniform, mse_loss, mse_loss_backward
 
@@ -79,12 +79,7 @@ class FieldTransformSpec:
 def check_inputs(schema: RecordSchema, cat: Array, cont: Array) -> tuple[Array, Array]:
     """(n, k) int64 and (n, r) float views of a batch, with category indices
     checked against the schema's arities."""
-    if schema.k > 0:
-        cat = as_matrix(cat, schema.k, dtype=np.int64)
-        cont = as_matrix(cont, schema.r, rows=cat.shape[0])
-    else:
-        cont = as_matrix(cont, schema.r)
-        cat = as_matrix(cat, 0, rows=cont.shape[0], dtype=np.int64)
+    cat, cont = as_batch(schema, cat, cont)
     arities = np.asarray(schema.arities, dtype=np.int64)
     bad = ((cat < 0) | (cat >= arities)).any(axis=0)
     if bad.any():

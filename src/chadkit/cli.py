@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: train, score, eval, bench-concept, viz-latent, negsample-dump.
-Every run is driven by a JSON config validated against a full key list
-(unknown keys are rejected), and every report embeds the resolved config,
-so a run can be reproduced from its outputs alone.
+Every run is driven by a JSON config checked against its subcommand's entry
+in CONFIG_TABLES (unknown, missing and mistyped keys are all reported), and
+every report embeds the resolved config, so a run can be reproduced from its
+outputs alone.
 
 Exit codes: 0 success, 2 config or input error, 3 model/schema mismatch,
 4 numeric failure during training. The CHADKIT_THREADS environment variable
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -60,48 +62,121 @@ def _seed_map(fn, seeds):
 
 # ---- config plumbing -------------------------------------------------------
 
+# The config keys of each subcommand and the JSON value each key takes. A dict
+# is the table of a nested JSON object, a one-item list the table of every
+# object in a JSON list; a kind ending in "!" marks a required key. A "file"
+# is a path string naming an existing file.
+_NEGATIVES = {"m": "int", "delta": "number", "dampening": "number"}
+_RUN = {"seed": "int", "out_dir": "str"}
+CONFIG_TABLES = {
+    "train": {
+        "schema": "file!", "train_data": "file!", "min_count": "int!", "clamp": "bool",
+        "label_field": "str", "secondary_noise": "bool", "negatives": _NEGATIVES,
+        "model": {"encoder_sizes": "ints", "embed_cap": "int", "cont_threshold": "int",
+                  "g_dim": "int", "dropout_ae": "number", "dropout_est": "number"},
+        "train": {"phase_epochs": "ints", "learning_rate": "number", "batch_size": "int",
+                  "gamma_start": "number", "gamma_max": "number"},
+        **_RUN},
+    "eval": {"model": "file!", "test_data": "file!", "anomaly_fraction": "number",
+             "seeds": "seeds", "percentages": "numbers", **_RUN},
+    "bench-concept": {
+        "concept": {"clusters": [{"shape": "numbers", "scale": "numbers",
+                                  "offset": "numbers"}],
+                    "blobs": [{"mean": "numbers!", "cov": "number"}],
+                    "n_per_cluster": "int", "n_per_blob": "int", "eps_factor": "number",
+                    "box_expand": "number"},
+        "seeds": "seeds", **_RUN},
+    "viz-latent": {"model": "file", "data": "file", "source": "str", "label_field": "str",
+                   **_RUN},
+    "negsample-dump": {"schema": "file!", "data": "file!", "rows": "int",
+                       "negatives": _NEGATIVES, "min_count": "int", **_RUN},
+}
 
-def _load_config(path) -> dict:
-    if not Path(path).is_file():
-        raise ConfigError(f"config file not found: {path}")
-    with open(path) as f:
-        try:
-            return json.load(f)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config file {path} is not valid JSON: {err}") from None
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_keys(obj: dict, where: str, allowed, required, problems: list):
-    for key in obj:
-        if key not in allowed:
-            problems.append(f"{where}: unknown key {key!r}")
-    for key in required:
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float) and math.isfinite(v)
+
+
+_KINDS = {  # kind -> (what a value must be, its test)
+    "file": ("a path string", lambda v: isinstance(v, str)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "int": ("an integer", _is_int),
+    "number": ("a finite number", _is_number),
+    "ints": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "numbers": ("a list of finite numbers",
+                lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    "seeds": ("a non-empty list of integers >= 0",
+              lambda v: isinstance(v, list) and v and all(_is_int(s) and s >= 0 for s in v)),
+}
+
+
+def _required(kind) -> bool:
+    return isinstance(kind, str) and kind.endswith("!")
+
+
+def _problems(obj, table: dict, where: str) -> list[str]:
+    """Every unknown, missing, mistyped or missing-file key of ``obj``."""
+    if not isinstance(obj, dict):
+        return [f"{where} must be a JSON object"]
+    problems = [f"{where}: unknown key {key!r}" for key in obj if key not in table]
+    for key, kind in table.items():
+        name = key if where == "config" else f"{where}.{key}"
+        value = obj.get(key)
         if key not in obj:
-            problems.append(f"{where}: missing required key {key!r}")
+            if _required(kind):
+                problems.append(f"{where}: missing required key {key!r}")
+        elif isinstance(kind, dict):
+            problems += _problems(value, kind, name)
+        elif isinstance(kind, list):
+            if not isinstance(value, list):
+                problems.append(f"{name} must be a list of JSON objects")
+            else:
+                for i, item in enumerate(value):
+                    problems += _problems(item, kind[0], f"{name}[{i}]")
+        else:
+            what, test = _KINDS[kind.rstrip("!")]
+            if not test(value):
+                problems.append(f"{name} must be {what}, got {json.dumps(value)[:40]}")
+            elif kind.startswith("file") and not os.path.isfile(value):
+                problems.append(f"{name} file not found: {value}")
+    return problems
 
 
-def _require_file(path, what: str, problems: list):
-    if path is not None and not Path(path).is_file():
-        problems.append(f"{what} file not found: {path}")
+def _config(args) -> tuple[dict, int]:
+    """The subcommand's config checked against its table, and the run's seed."""
+    table = CONFIG_TABLES[args.command]
+    config = {}
+    if args.config:
+        if not os.path.isfile(args.config):
+            raise ConfigError(f"config file not found: {args.config}")
+        try:
+            with open(args.config, encoding="utf-8") as f:
+                config = json.load(f)
+        except (ValueError, RecursionError) as err:   # not UTF-8, not JSON, too deep
+            raise ConfigError(f"config file {args.config} is not UTF-8 JSON: {err}") \
+                from None
+    elif any(map(_required, table.values())):
+        raise ConfigError(f"{args.command} requires --config")
+    problems = _problems(config, table, "config")
+    if problems:
+        raise ConfigError(problems)
+    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return config, seed
 
 
-def _check_seed_list(config: dict, problems: list):
-    if "seeds" in config:
-        seeds = config["seeds"]
-        if not isinstance(seeds, list) or not seeds or \
-                not all(isinstance(s, int) for s in seeds):
-            problems.append("seeds must be a non-empty list of integers")
-
-
-MODEL_KEYS = ("encoder_sizes", "embed_cap", "cont_threshold", "g_dim",
-              "dropout_ae", "dropout_est")
-NEG_KEYS = ("m", "delta", "dampening")
-TRAIN_KEYS = ("phase_epochs", "learning_rate", "batch_size", "gamma_start", "gamma_max")
-
-
-def _model_config(obj: dict) -> ModelConfig:
-    return ModelConfig(**{k: tuple(v) if k == "encoder_sizes" else v
-                          for k, v in obj.items()})
+def _build(cls, obj: dict, where: str):
+    """``cls`` from a checked config object; its range checks exit 2 naming ``where``."""
+    try:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()})
+    except (ValueError, TypeError, ConfigError) as err:
+        raise ConfigError(f"{where}: {err}") from None
 
 
 def _out_dir(config: dict, args) -> Path:
@@ -109,14 +184,11 @@ def _out_dir(config: dict, args) -> Path:
     if not out:
         raise ConfigError("no output directory: set out_dir in the config or pass --out")
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"cannot create output directory {out}: {err}") from None
     return path
-
-
-def _resolved(config: dict, seed: int) -> dict:
-    resolved = dict(config)
-    resolved["seed"] = seed
-    return resolved
 
 
 def _write_json(path, obj):
@@ -128,51 +200,37 @@ def _write_json(path, obj):
 # ---- train -----------------------------------------------------------------
 
 
-def cmd_train(args) -> int:
-    config = _load_config(args.config)
-    problems: list[str] = []
-    _check_keys(config, "config",
-                allowed=("schema", "train_data", "min_count", "clamp",
-                         "label_field", "model", "negatives", "train",
-                         "secondary_noise", "seed", "out_dir"),
-                required=("schema", "train_data", "min_count"), problems=problems)
-    for section, keys in (("model", MODEL_KEYS), ("negatives", NEG_KEYS),
-                          ("train", TRAIN_KEYS)):
-        if isinstance(config.get(section), dict):
-            _check_keys(config[section], section, keys, (), problems)
-    _require_file(config.get("schema"), "schema", problems)
-    _require_file(config.get("train_data"), "training data", problems)
-    if "min_count" in config and not (isinstance(config["min_count"], int)
-                                      and config["min_count"] >= 1):
-        problems.append("min_count must be an integer >= 1")
-    if problems:
-        raise ConfigError(problems)
-
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    out = _out_dir(config, args)
-    streams = named_streams(seed)
-
-    cat_fields, cont_fields = read_schema_file(config["schema"])
-    schema = RecordSchema(cat_fields, cont_fields)
-    dataset, report = load_csv(config["train_data"], schema,
+def _load_training(config: dict, data_key: str):
+    """(normalized dataset, stats, load report) from the config's schema file
+    and ``data_key`` CSV, pruned at its min_count."""
+    min_count = config.get("min_count", 1)
+    if min_count < 1:
+        raise ConfigError(f"min_count must be an integer >= 1, got {min_count}")
+    path = config[data_key]
+    dataset, report = load_csv(path, RecordSchema(*read_schema_file(config["schema"])),
                                label_field=config.get("label_field"))
-    dataset = filter_rare_entities(dataset, config["min_count"])
+    dataset = filter_rare_entities(dataset, min_count)
     if dataset.n == 0:
         raise DataError(
-            f"{config['train_data']}: no training rows left: {report.rows_read} read, "
+            f"{path}: no training rows left: {report.rows_read} read, "
             f"{report.rows_kept} kept after loading ({report.rows_dropped_missing} with "
             f"empty cells, {report.rows_dropped_unseen} unseen, "
             f"{report.rows_dropped_nonfinite} non-finite dropped), 0 after "
-            f"min_count {config['min_count']} pruning")
+            f"min_count {min_count} pruning")
     stats = fit_normalize(dataset)
-    dataset = apply_normalize(stats, dataset, clamp=bool(config.get("clamp", False)))
+    return apply_normalize(stats, dataset, config.get("clamp", False)), stats, report
 
-    model_config = _model_config(config.get("model", {}))
-    schedule = TrainSchedule(**config.get("train", {}), seed=seed)
-    neg_config = NegSamplerConfig(**config.get("negatives", {}))
-    noise_spec = SecondaryNoiseSpec(bool(config.get("secondary_noise", True)))
 
-    model = ChadModel(dataset.schema, model_config, streams["init"])
+def cmd_train(args) -> int:
+    config, seed = _config(args)
+    model_config = _build(ModelConfig, config.get("model", {}), "model")
+    schedule = _build(TrainSchedule, {**config.get("train", {}), "seed": seed}, "train")
+    neg_config = _build(NegSamplerConfig, config.get("negatives", {}), "negatives")
+    noise_spec = SecondaryNoiseSpec(config.get("secondary_noise", True))
+    out = _out_dir(config, args)
+    dataset, stats, report = _load_training(config, "train_data")
+
+    model = ChadModel(dataset.schema, model_config, named_streams(seed)["init"])
     log = TrainLog()
 
     def checkpoint(phase, mdl):
@@ -185,7 +243,7 @@ def cmd_train(args) -> int:
     _write_json(out / "load_report.json", report.to_json())
     _write_json(out / "vocab.json", {"vocabs": dataset.schema.to_json()["vocabs"]})
     _write_json(out / "normalization.json", stats.to_json())
-    _write_json(out / "resolved_config.json", _resolved(config, seed))
+    _write_json(out / "resolved_config.json", {**config, "seed": seed})
     print(f"trained model written to {out / 'model.chad'}")
     return EXIT_OK
 
@@ -232,21 +290,12 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args.config)
-    problems: list[str] = []
-    _check_keys(config, "config",
-                allowed=("model", "test_data", "anomaly_fraction", "seeds",
-                         "percentages", "seed", "out_dir"),
-                required=("model", "test_data"), problems=problems)
-    _require_file(config.get("model"), "model", problems)
-    _require_file(config.get("test_data"), "test data", problems)
-    _check_seed_list(config, problems)
-    if problems:
-        raise ConfigError(problems)
-
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    out = _out_dir(config, args)
+    config, seed = _config(args)
     fraction = float(config.get("anomaly_fraction", 0.1))
+    percentages = config.get("percentages", [])
+    if not (0 < fraction <= 1 and all(0 < p < 100 for p in percentages)):
+        raise ConfigError("anomaly_fraction must be in (0, 1] and percentages in (0, 100)")
+    out = _out_dir(config, args)
     seeds = config.get("seeds", [seed + i for i in range(5)])
 
     model, stats = load_model(config["model"])
@@ -259,19 +308,19 @@ def cmd_eval(args) -> int:
 
     aps = _seed_map(one_seed, seeds)
     report = {
-        "config": _resolved(config, seed),
+        "config": {**config, "seed": seed},
         "anomaly_fraction": fraction,
         "ap_per_seed": [{"seed": int(s), "ap": float(a)} for s, a in zip(seeds, aps)],
         "ap_mean": float(np.mean(aps)),
         "ap_sd": float(np.std(aps, ddof=1)) if len(aps) > 1 else 0.0,
     }
 
-    if config.get("percentages"):
-        pool_frac = max(config["percentages"]) / 100.0
+    if percentages:
+        pool_frac = max(percentages) / 100.0
         pool_frac = pool_frac / (1.0 - pool_frac) * 1.5
         pool = synth_anomalies(test_set, pool_frac, np.random.default_rng(seed + 7919))
         pool = pool.subset(np.nonzero(pool.labels == 1)[0])
-        rows = vary_anomaly_harness(model, test_set, pool, config["percentages"], seeds)
+        rows = vary_anomaly_harness(model, test_set, pool, percentages, seeds)
         report["vary_anomaly"] = rows
         with open(out / "vary_anomaly.csv", "w", newline="") as f:
             writer = csv.writer(f)
@@ -289,49 +338,18 @@ def cmd_eval(args) -> int:
 # ---- bench-concept ---------------------------------------------------------
 
 
-def _concept_config(obj: dict, problems: list):
-    from .conceptbench import ConceptConfig, GammaClusterSpec, GaussianBlobSpec
-
-    allowed = ("clusters", "blobs", "n_per_cluster", "n_per_blob", "eps_factor",
-               "box_expand")
-    _check_keys(obj, "concept", allowed, (), problems)
-    kwargs = {}
-    if "clusters" in obj:
-        kwargs["clusters"] = tuple(
-            GammaClusterSpec(tuple(c.get("shape", (2.0, 2.0))),
-                             tuple(c.get("scale", (1.0, 1.0))),
-                             tuple(c.get("offset", (0.0, 0.0))))
-            for c in obj["clusters"])
-    if "blobs" in obj:
-        blobs = []
-        for i, b in enumerate(obj["blobs"]):
-            if "mean" not in b:
-                problems.append(f"concept.blobs[{i}]: missing 'mean'")
-                continue
-            blobs.append(GaussianBlobSpec(tuple(b["mean"]), float(b.get("cov", 0.25))))
-        kwargs["blobs"] = tuple(blobs)
-    for key in ("n_per_cluster", "n_per_blob", "eps_factor", "box_expand"):
-        if key in obj:
-            kwargs[key] = obj[key]
-    if problems:
-        raise ConfigError(problems)
-    return ConceptConfig(**kwargs)
-
-
 def cmd_bench_concept(args) -> int:
     # scipy.stats and scipy.linalg load here, not on every CLI call
-    from .conceptbench import gen_concept_data, run_concept_bench
+    from .conceptbench import (ConceptConfig, GammaClusterSpec, GaussianBlobSpec,
+                               gen_concept_data, run_concept_bench)
 
-    config = _load_config(args.config) if args.config else {}
-    problems: list[str] = []
-    _check_keys(config, "config", ("concept", "seeds", "seed", "out_dir"), (),
-                problems)
-    _check_seed_list(config, problems)
-    concept = _concept_config(config.get("concept", {}), problems)
-    if problems:
-        raise ConfigError(problems)
-
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    config, seed = _config(args)
+    concept = dict(config.get("concept", {}))
+    for key, spec in (("clusters", GammaClusterSpec), ("blobs", GaussianBlobSpec)):
+        if key in concept:
+            concept[key] = [_build(spec, item, f"concept.{key}[{i}]")
+                            for i, item in enumerate(concept[key])]
+    concept = _build(ConceptConfig, concept, "concept")
     out = _out_dir(config, args)
     seeds = config.get("seeds", list(range(seed, seed + 10)))
 
@@ -356,7 +374,7 @@ def cmd_bench_concept(args) -> int:
         for (x, y), lab in zip(points, labels):
             writer.writerow([f"{x:.6f}", f"{y:.6f}", int(lab)])
     _write_json(out / "concept_summary.json",
-                {"config": _resolved(config, seed), "seeds": [int(s) for s in seeds],
+                {"config": {**config, "seed": seed}, "seeds": [int(s) for s in seeds],
                  "summary": summary})
     for method in methods:
         print(f"{method:12s} AP {summary[method]['ap_mean']:.4f} "
@@ -368,24 +386,16 @@ def cmd_bench_concept(args) -> int:
 
 
 def cmd_viz_latent(args) -> int:
-    config = _load_config(args.config) if args.config else {}
-    problems: list[str] = []
-    _check_keys(config, "config",
-                ("model", "data", "source", "label_field", "seed", "out_dir"), (),
-                problems)
+    config, seed = _config(args)
     model_path = args.model or config.get("model")
     data_path = args.data or config.get("data")
-    if not model_path:
-        problems.append("no model path: set model in the config or pass --model")
-    if not data_path:
-        problems.append("no data path: set data in the config or pass --data")
+    problems = [f"{what} file not found: {path}" if path else
+                f"no {what} path: set {what} in the config or pass --{what}"
+                for what, path in (("model", model_path), ("data", data_path))
+                if not (path and os.path.isfile(path))]
     source = config.get("source", "latent")
     if source not in ("latent", "estimator"):
         problems.append(f"source must be 'latent' or 'estimator', got {source!r}")
-    if problems:
-        raise ConfigError(problems)
-    _require_file(model_path, "model", problems)
-    _require_file(data_path, "data", problems)
     if problems:
         raise ConfigError(problems)
 
@@ -399,8 +409,7 @@ def cmd_viz_latent(args) -> int:
     points, _ = latent_projection(vectors)
     path = out / f"projection_{source}.csv"
     write_projection_csv(path, points, dataset.labels)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    _write_json(out / "projection_config.json", _resolved(config, seed))
+    _write_json(out / "projection_config.json", {**config, "seed": seed})
     print(f"projection written to {path}")
     return EXIT_OK
 
@@ -409,31 +418,11 @@ def cmd_viz_latent(args) -> int:
 
 
 def cmd_negsample_dump(args) -> int:
-    config = _load_config(args.config)
-    problems: list[str] = []
-    _check_keys(config, "config",
-                allowed=("schema", "data", "rows", "negatives", "min_count",
-                         "seed", "out_dir"),
-                required=("schema", "data"), problems=problems)
-    if isinstance(config.get("negatives"), dict):
-        _check_keys(config["negatives"], "negatives", NEG_KEYS, (), problems)
-    _require_file(config.get("schema"), "schema", problems)
-    _require_file(config.get("data"), "data", problems)
-    if problems:
-        raise ConfigError(problems)
-
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    config, seed = _config(args)
+    neg_config = _build(NegSamplerConfig, config.get("negatives", {}), "negatives")
     out = _out_dir(config, args)
-    n_rows = int(config.get("rows", 3))
-    neg_config = NegSamplerConfig(**config.get("negatives", {}))
-
-    cat_fields, cont_fields = read_schema_file(config["schema"])
-    dataset, _ = load_csv(config["data"], RecordSchema(cat_fields, cont_fields))
-    if "min_count" in config:
-        dataset = filter_rare_entities(dataset, config["min_count"])
-    stats = fit_normalize(dataset)
-    dataset = apply_normalize(stats, dataset)
-    head = dataset.subset(np.arange(min(n_rows, dataset.n)))
+    dataset, _, _ = _load_training(config, "data")
+    head = dataset.subset(np.arange(min(config.get("rows", 3), dataset.n)))
 
     rng = named_streams(seed)["negsampler"]
     neg_cat, neg_cont = generate_negatives_batch(head.cat, head.cont, neg_config,
@@ -450,7 +439,7 @@ def cmd_negsample_dump(args) -> int:
                     for w in range(schema.k)]
             conts = [f"{v:.6f}" for v in neg_cont[i]]
             writer.writerow([src, i % neg_config.m, *cats, *conts])
-    _write_json(out / "negsample_config.json", _resolved(config, seed))
+    _write_json(out / "negsample_config.json", {**config, "seed": seed})
     print(f"{neg_cat.shape[0]} negatives written to {path}")
     return EXIT_OK
 
@@ -486,8 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in ("train", "eval", "negsample-dump") and not args.config:
-            raise ConfigError(f"{args.command} requires --config")
         return args.fn(args)
     except (ConfigError, DataError, MetricError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -31,6 +31,8 @@ class GammaClusterSpec:
     offset: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        if any(len(v) != 2 for v in (self.shape, self.scale, self.offset)):
+            raise ConfigError("Gamma shape, scale and offset need two values each")
         if any(s <= 0 for s in self.shape) or any(s <= 0 for s in self.scale):
             raise ConfigError("Gamma shape and scale must be positive")
 
@@ -57,6 +59,10 @@ class GammaClusterSpec:
 class GaussianBlobSpec:
     mean: tuple[float, float]
     cov: float = 0.25  # isotropic variance
+
+    def __post_init__(self):
+        if len(self.mean) != 2 or self.cov < 0:
+            raise ConfigError("a blob needs a two-value mean and a variance >= 0")
 
     def sample(self, n: int, rng: np.random.Generator) -> Array:
         return rng.multivariate_normal(self.mean, self.cov * np.eye(2), size=n)

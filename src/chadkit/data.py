@@ -31,6 +31,16 @@ def as_matrix(x, width: int, rows: int | None = None, dtype=float) -> Array:
     return x.reshape(-1, width)
 
 
+def as_batch(schema: RecordSchema, cat, cont) -> tuple[Array, Array]:
+    """(n, k) int64 and (n, r) float views of a batch; n comes from the
+    categorical block, or from the continuous one when the schema has none."""
+    if schema.k > 0:
+        cat = as_matrix(cat, schema.k, dtype=np.int64)
+        return cat, as_matrix(cont, schema.r, rows=cat.shape[0])
+    cont = as_matrix(cont, schema.r)
+    return as_matrix(cat, 0, rows=cont.shape[0], dtype=np.int64), cont
+
+
 class RecordSchema:
     """Field layout plus per-categorical-field vocabulary.
 
@@ -170,8 +180,11 @@ class LoadReport:
 
 def read_schema_file(path) -> tuple[list[str], list[str]]:
     """Schema file: JSON object mapping field name -> "categorical" | "continuous"."""
-    with open(path) as f:
-        obj = json.load(f)
+    try:
+        with open(path, encoding="utf-8") as f:
+            obj = json.load(f)
+    except (ValueError, RecursionError) as err:   # not UTF-8, not JSON, too deep
+        raise DataError(f"schema file {path} is not UTF-8 JSON: {err}") from None
     if not isinstance(obj, dict) or not obj:
         raise DataError(f"schema file {path} must be a non-empty JSON object")
     cats, conts = [], []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autoencoder import Autoencoder, FieldTransformSpec, FoldedEncoder
-from .data import Dataset, RecordSchema, as_matrix
+from .data import Dataset, RecordSchema, as_batch
 from .errors import SchemaError
 from .estimator import Estimator
 from .nn import Array, merge_grads
@@ -38,6 +38,12 @@ class ModelConfig:
             raise ValueError("need at least one encoder layer")
         if min(self.encoder_sizes) < 1:
             raise ValueError(f"encoder sizes must be positive, got {self.encoder_sizes}")
+        if self.embed_cap < 1 or self.g_dim < 1:
+            raise ValueError(f"embed_cap and g_dim must be >= 1, got {self.embed_cap} "
+                             f"and {self.g_dim}")
+        if not (0 <= self.dropout_ae < 1 and 0 <= self.dropout_est < 1):
+            raise ValueError(f"dropout rates must be in [0, 1), got {self.dropout_ae} "
+                             f"and {self.dropout_est}")
 
     @property
     def latent_dim(self) -> int:
@@ -156,12 +162,8 @@ class ChadModel:
         offset. The gradient continues through the encoder and field
         transforms on both the positive and negative paths.
         """
-        if self.schema.k > 0:
-            b = as_matrix(cat, self.schema.k, dtype=np.int64).shape[0]
-            s = as_matrix(neg_cat, self.schema.k, dtype=np.int64).shape[0]
-        else:
-            b = as_matrix(cont, self.schema.r).shape[0]
-            s = as_matrix(neg_cont, self.schema.r).shape[0]
+        b = as_batch(self.schema, cat, cont)[0].shape[0]
+        s = as_batch(self.schema, neg_cat, neg_cont)[0].shape[0]
         if b == 0 or s % max(b, 1) != 0:
             raise ValueError("negative count must be a positive multiple of the batch size")
         k = s // b

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Record, RecordSchema, as_matrix
+from .data import Dataset, Record, RecordSchema, as_batch
 from .errors import ConfigError, SchemaError
 
 Array = np.ndarray
@@ -146,12 +146,7 @@ def generate_negatives_batch(cat: Array, cont: Array, config: NegSamplerConfig,
     {1, ..., max(1, floor(k/2))}, fresh for every negative.
     """
     check_sampler_schema(schema)
-    if schema.k > 0:
-        cat = as_matrix(cat, schema.k, dtype=np.int64)
-        cont = as_matrix(cont, schema.r, rows=cat.shape[0])
-    else:
-        cont = as_matrix(cont, schema.r)
-        cat = as_matrix(cat, 0, rows=cont.shape[0], dtype=np.int64)
+    cat, cont = as_batch(schema, cat, cont)
     n = cat.shape[0]
     s = n * config.m
     rep_cat = np.repeat(cat, config.m, axis=0)

@@ -100,7 +100,8 @@ def load_model(path):
             raise DataError(f"{path}: truncated payload: the header's layer sizes "
                             f"need {count} parameters, the payload holds {len(payload) // 8}")
         model = ChadModel(schema, config, np.random.default_rng(0), spec)
-    except (KeyError, TypeError, ValueError, AttributeError, SchemaError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError,
+            SchemaError) as err:   # OverflowError: int() of an infinite size
         raise DataError(f"{path}: malformed model header: {err!r}") from None
 
     params = model.params()

@@ -244,3 +244,15 @@ def test_parameter_count_matches_built_model(arities, r, sizes):
     model = ChadModel(schema, config, np.random.default_rng(0), spec)
     assert parameter_count(schema, config, spec) == sum(
         v.size for v in model.params().values())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("embed_cap", 0), ("g_dim", 0), ("dropout_ae", 1.0), ("dropout_ae", -0.1),
+    ("dropout_est", 2), ("dropout_est", math.nan),
+])
+def test_model_config_rejects_out_of_range_fields(field, value):
+    # g_dim 0 used to build a zero-width continuous map, so the model ignored
+    # every continuous field
+    from chadkit.model import ModelConfig
+    with pytest.raises(ValueError, match=field.split("_")[0]):
+        ModelConfig(**{field: value})

@@ -1,11 +1,16 @@
 import json
+import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chadkit.data import NormalizationStats
-from chadkit.errors import DataError
+from chadkit.data import NormalizationStats, RecordSchema
+from chadkit.errors import ChadkitError, DataError
 from chadkit.model import ChadModel, ModelConfig
 from chadkit.persist import FORMAT_VERSION, load_model, save_model
 
@@ -197,3 +202,73 @@ class TestCorruptFiles:
         monkeypatch.setattr("chadkit.persist.ChadModel", no_model)
         with pytest.raises(DataError, match="truncated payload"):
             load_model(bad)
+
+
+@pytest.fixture(scope="module")
+def model_bytes(tmp_path_factory):
+    schema = RecordSchema(["color", "shape"], ["size", "weight", "width", "height"],
+                          [{"red": 0, "green": 1, "blue": 2}, {"circle": 0, "square": 1}])
+    model = ChadModel(schema, ModelConfig(encoder_sizes=(10, 5)), np.random.default_rng(21))
+    path = tmp_path_factory.mktemp("fuzz") / "m.chad"
+    save_model(path, model, NormalizationStats(np.zeros(4), np.ones(4) * 2.0))
+    return path.read_bytes()
+
+
+# edge values are drawn often, not left to the tails of the strategies
+JSON_VALUES = st.sampled_from([math.inf, -math.inf, math.nan, -1, 0, 2**64, "", []]) \
+    | st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=8)
+
+
+def _header_paths(obj, prefix=()):
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _header_paths(value, prefix + (key,))
+
+
+class TestFuzzedModelFiles:
+    """Whatever the bytes, load_model returns a model or raises a ChadkitError."""
+
+    @staticmethod
+    def _load(blob):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzzed.chad"
+            path.write_bytes(blob)
+            try:
+                load_model(path)
+            except Exception as err:   # noqa: BLE001 - only ChadkitError may escape
+                assert isinstance(err, ChadkitError), repr(err)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_byte_mutations(self, model_bytes, data):
+        blob = bytearray(model_bytes)
+        # the header and its length prefix are where the parsing happens
+        header_end = 8 + struct.unpack("<Q", model_bytes[:8])[0]
+        for pos, byte in data.draw(st.lists(st.tuples(st.integers(0, header_end - 1),
+                                                      st.integers(0, 255)), max_size=4)):
+            blob[pos] = byte
+        cut = data.draw(st.none() | st.integers(0, len(blob)))
+        self._load(bytes(blob[:cut]) + data.draw(st.binary(max_size=16)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_header_value_mutations(self, model_bytes, data):
+        header_len = struct.unpack("<Q", model_bytes[:8])[0]
+        header = json.loads(model_bytes[8:8 + header_len])
+        paths = sorted(_header_paths(header), key=str)
+        for path in data.draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3)):
+            obj = header
+            try:
+                for key in path[:-1]:
+                    obj = obj[key]
+                obj[path[-1]] = data.draw(JSON_VALUES)
+            except (KeyError, IndexError, TypeError):
+                continue   # an earlier mutation replaced a parent of this path
+        blob = json.dumps(header).encode()
+        self._load(struct.pack("<Q", len(blob)) + blob + model_bytes[8 + header_len:])
