@@ -27,7 +27,7 @@ from .errors import (
     SchemaError,
     TrainingDiverged,
 )
-from .estimator import Estimator, SecondaryNoiseSpec, inject_noise
+from .estimator import Estimator, SecondaryNoiseSpec
 from .evaluate import (
     PRPoint,
     ScoredRecords,
@@ -59,7 +59,7 @@ __all__ = [
     "load_csv",
     "ChadkitError", "ConfigError", "DataError", "MetricError", "SchemaError",
     "TrainingDiverged",
-    "Estimator", "SecondaryNoiseSpec", "inject_noise",
+    "Estimator", "SecondaryNoiseSpec",
     "PRPoint", "ScoredRecords", "average_precision", "latent_projection",
     "noise_ablation", "precision_recall_curve", "score_dataset",
     "synth_anomalies", "vary_anomaly_harness",

@@ -90,7 +90,12 @@ def check_inputs(schema: RecordSchema, cat: Array, cont: Array) -> tuple[Array, 
 
 
 class FieldTransform:
-    """Concatenation of per-field embeddings and the continuous block."""
+    """Concatenation of per-field embeddings and the continuous block.
+
+    ``forward`` takes an (n, k) int64 index batch and an (n, r) float64 batch
+    and trusts them: indices are range-checked where they enter the program
+    (``Dataset``, ``check_inputs``), not on every training batch.
+    """
 
     def __init__(self, schema: RecordSchema, spec: FieldTransformSpec,
                  rng: np.random.Generator | None = None):
@@ -116,7 +121,6 @@ class FieldTransform:
         return self.spec.output_dim
 
     def forward(self, cat: Array, cont: Array):
-        cat, cont = check_inputs(self.schema, cat, cont)
         blocks = [self.embeddings[w][cat[:, w]] for w in range(self.schema.k)]
         if self.g_weight is not None:
             blocks.append(cont @ self.g_weight.T)
@@ -246,17 +250,8 @@ class FoldedEncoder:
         self.bias = first.b.copy()
 
     def encode(self, cat: Array, cont: Array) -> Array:
-        """Latent vectors, (n, latent_dim)."""
-        return self._forward(*check_inputs(self.schema, cat, cont))
-
-    def encode_chunks(self, cat: Array, cont: Array, rows: int):
-        """Latent vectors of consecutive ``rows``-row slices of the input, one
-        array per slice (one empty array for an empty input)."""
-        cat, cont = check_inputs(self.schema, cat, cont)
-        for start in range(0, max(cat.shape[0], 1), rows):
-            yield self._forward(cat[start:start + rows], cont[start:start + rows])
-
-    def _forward(self, cat: Array, cont: Array) -> Array:
+        """Latent vectors, (n, latent_dim), of an in-range (n, k) int64 and
+        (n, r) float64 batch, such as a sampler's output; unchecked."""
         h = cont @ self.w_cont.T
         h += self.bias
         for w, table in enumerate(self.tables):
@@ -265,3 +260,11 @@ class FoldedEncoder:
         for layer in self.rest:
             h, _ = layer.forward(h)
         return h
+
+    def encode_chunks(self, cat: Array, cont: Array, rows: int):
+        """Latent vectors of consecutive ``rows``-row slices of raw input, one
+        array per slice (one empty array for an empty input). The input is
+        checked here, once per call."""
+        cat, cont = check_inputs(self.schema, cat, cont)
+        for start in range(0, max(cat.shape[0], 1), rows):
+            yield self.encode(cat[start:start + rows], cont[start:start + rows])

@@ -6,9 +6,13 @@ in CONFIG_TABLES (unknown, missing and mistyped keys are all reported), and
 every report embeds the resolved config, so a run can be reproduced from its
 outputs alone.
 
+Inputs are validated once, where they enter: configs here, CSV cells and
+vocabularies in ``load_csv`` (a training CSV must hold finite numbers), model
+files in ``load_model``, and the model's size against MAX_PARAMETERS before
+it is built. The training and scoring code below trusts what it is given.
+
 Exit codes: 0 success, 2 config or input error, 3 model/schema mismatch,
-4 numeric failure during training. The CHADKIT_THREADS environment variable
-caps how many seeds the multi-seed commands evaluate concurrently.
+4 numeric failure during training.
 """
 from __future__ import annotations
 
@@ -18,11 +22,11 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
+from .autoencoder import FieldTransformSpec
 from .data import (RecordSchema, apply_normalize, filter_rare_entities, fit_normalize,
                    load_csv, read_csv_header, read_schema_file)
 from .errors import (ChadkitError, ConfigError, DataError, MetricError, SchemaError,
@@ -30,7 +34,7 @@ from .errors import (ChadkitError, ConfigError, DataError, MetricError, SchemaEr
 from .estimator import SecondaryNoiseSpec
 from .evaluate import (average_precision, latent_projection, score_dataset,
                        synth_anomalies, vary_anomaly_harness, write_projection_csv)
-from .model import ChadModel, ModelConfig
+from .model import ChadModel, ModelConfig, parameter_count
 from .negsampler import NegSamplerConfig, generate_negatives_batch
 from .persist import load_model, save_model
 from .seeds import named_streams
@@ -41,23 +45,9 @@ EXIT_CONFIG = 2
 EXIT_SCHEMA = 3
 EXIT_NUMERIC = 4
 
-
-def max_workers() -> int:
-    raw = os.environ.get("CHADKIT_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"CHADKIT_THREADS must be an integer, got {raw!r}")
-    return max(1, value)
-
-
-def _seed_map(fn, seeds):
-    """Run fn(seed) for each seed, possibly in parallel; order preserved."""
-    workers = max_workers()
-    if workers == 1:
-        return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seeds))
+# The largest model `train` builds: 2**27 float64 parameters are 1 GiB, before
+# Adam's two moment buffers of the same size.
+MAX_PARAMETERS = 2**27
 
 
 # ---- config plumbing -------------------------------------------------------
@@ -209,6 +199,9 @@ def _load_training(config: dict, data_key: str):
     path = config[data_key]
     dataset, report = load_csv(path, RecordSchema(*read_schema_file(config["schema"])),
                                label_field=config.get("label_field"))
+    if report.first_nonfinite:
+        raise DataError(f"{path}: {report.first_nonfinite} is not a finite number; "
+                        f"training data must be finite")
     dataset = filter_rare_entities(dataset, min_count)
     if dataset.n == 0:
         raise DataError(
@@ -229,8 +222,14 @@ def cmd_train(args) -> int:
     noise_spec = SecondaryNoiseSpec(config.get("secondary_noise", True))
     out = _out_dir(config, args)
     dataset, stats, report = _load_training(config, "train_data")
+    spec = FieldTransformSpec.for_schema(dataset.schema, model_config.embed_cap,
+                                         model_config.cont_threshold, model_config.g_dim)
+    count = parameter_count(dataset.schema, model_config, spec)
+    if count > MAX_PARAMETERS:
+        raise ConfigError(f"model: {count} parameters exceed the limit of {MAX_PARAMETERS}; "
+                          f"reduce model.encoder_sizes, model.embed_cap or model.g_dim")
 
-    model = ChadModel(dataset.schema, model_config, named_streams(seed)["init"])
+    model = ChadModel(dataset.schema, model_config, named_streams(seed)["init"], spec)
     log = TrainLog()
 
     def checkpoint(phase, mdl):
@@ -301,12 +300,16 @@ def cmd_eval(args) -> int:
     model, stats = load_model(config["model"])
     test_set, _ = _load_for_model(model, stats, config["test_data"])
 
-    def one_seed(s):
+    # synth_anomalies appends the anomalies after the unchanged test rows, so
+    # the test rows are scored once and each seed scores only its anomalies
+    nominal_scores = score_dataset(model, test_set).scores
+    aps = []
+    for s in seeds:
         labeled = synth_anomalies(test_set, fraction, np.random.default_rng(s))
-        scored = score_dataset(model, labeled)
-        return average_precision(scored.scores, scored.labels)
-
-    aps = _seed_map(one_seed, seeds)
+        anomaly_scores = model.score_records(labeled.cat[test_set.n:],
+                                             labeled.cont[test_set.n:])
+        aps.append(average_precision(np.concatenate([nominal_scores, anomaly_scores]),
+                                     labeled.labels))
     report = {
         "config": {**config, "seed": seed},
         "anomaly_fraction": fraction,
@@ -353,19 +356,13 @@ def cmd_bench_concept(args) -> int:
     out = _out_dir(config, args)
     seeds = config.get("seeds", list(range(seed, seed + 10)))
 
-    results = _seed_map(lambda s: run_concept_bench(concept, [s]), seeds)
-    rows = [row for result in results for row in result["rows"]]
-    methods = sorted({row["method"] for row in rows})
-    summary = {}
-    for method in methods:
-        aps = [r["ap"] for r in rows if r["method"] == method]
-        summary[method] = {"ap_mean": float(np.mean(aps)),
-                           "ap_sd": float(np.std(aps, ddof=1)) if len(aps) > 1 else 0.0}
+    result = run_concept_bench(concept, seeds)
+    summary = result["summary"]
 
     with open(out / "concept_bench.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["method", "seed", "ap"])
-        for row in rows:
+        for row in result["rows"]:
             writer.writerow([row["method"], row["seed"], f"{row['ap']:.6f}"])
     points, labels = gen_concept_data(concept, np.random.default_rng(seeds[0]))
     with open(out / "concept_data.csv", "w", newline="") as f:
@@ -376,9 +373,8 @@ def cmd_bench_concept(args) -> int:
     _write_json(out / "concept_summary.json",
                 {"config": {**config, "seed": seed}, "seeds": [int(s) for s in seeds],
                  "summary": summary})
-    for method in methods:
-        print(f"{method:12s} AP {summary[method]['ap_mean']:.4f} "
-              f"+/- {summary[method]['ap_sd']:.4f}")
+    for method, row in sorted(summary.items()):
+        print(f"{method:12s} AP {row['ap_mean']:.4f} +/- {row['ap_sd']:.4f}")
     return EXIT_OK
 
 

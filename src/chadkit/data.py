@@ -166,6 +166,9 @@ class LoadReport:
     rows_dropped_unseen: int = 0
     rows_dropped_nonfinite: int = 0
     arities: dict = field(default_factory=dict)
+    # where the first kept nan or infinite cell is, as "row N, column 'name':
+    # 'cell'", when non-finite rows are kept; not part of the JSON report
+    first_nonfinite: str | None = None
 
     def to_json(self) -> dict:
         return {
@@ -225,7 +228,9 @@ def load_csv(path, schema: RecordSchema, label_field: str | None = None,
     Returns (dataset, report). Rows with empty cells are dropped and counted;
     a non-numeric continuous cell is an error naming the row and column.
     With ``drop_nonfinite`` (scoring input), a row with a nan or infinite
-    continuous cell is dropped and counted too, so it is never scored.
+    continuous cell is dropped and counted too, so it is never scored;
+    without it the row is kept and ``report.first_nonfinite`` names the first
+    such cell, which a caller that needs finite input turns into an error.
 
     The file is read ``LOAD_BLOCK_ROWS`` rows at a time and each block is
     converted column by column. A row's fate is decided in this order: wrong
@@ -351,10 +356,17 @@ class _BlockConverter:
                             f"{self.schema.cont_fields[j]!r}: cannot parse "
                             f"{cont_cells[j][i]!r} as a number") from None
 
-        nonfinite = np.zeros(kept.size, dtype=bool)
+        nonfinite = ~np.isfinite(cont).all(axis=1)
         if self.drop_nonfinite:
-            nonfinite = ~np.isfinite(cont).all(axis=1)
             kept, cont = kept[~nonfinite], cont[~nonfinite]
+        else:
+            if nonfinite.any() and report.first_nonfinite is None:
+                b = int(np.argmax(nonfinite))
+                i, j = int(kept[b]), int(np.argmin(np.isfinite(cont[b])))
+                report.first_nonfinite = (f"row {first_row + i}, column "
+                                          f"{self.schema.cont_fields[j]!r}: "
+                                          f"{cont_cells[j][i]!r}")
+            nonfinite[:] = False    # kept, so none is counted as dropped
 
         if self.label_col is not None:
             cells = [rows[i][self.label_col] for i in kept.tolist()]

@@ -22,12 +22,13 @@ class SecondaryNoiseSpec:
 
     enabled: bool = True
 
-
-def inject_noise(z_e: Array, spec: SecondaryNoiseSpec, rng: np.random.Generator) -> Array:
-    """Add a fresh standard-normal draw per sample; identity when disabled."""
-    if not spec.enabled:
-        return z_e
-    return z_e + rng.standard_normal(z_e.shape)
+    def draw(self, rng: np.random.Generator, rows: int, latent_dim: int) -> Array | None:
+        """The offsets for ``rows`` negative latents: a fresh (rows, latent_dim)
+        standard-normal draw from ``rng``, or None, drawing nothing, when
+        disabled. Training and ``negative_latent_spread`` both draw here."""
+        if not self.enabled:
+            return None
+        return rng.standard_normal((rows, latent_dim))
 
 
 def contrastive_loss_terms(f_pos: Array, f_neg: Array, gamma: float,

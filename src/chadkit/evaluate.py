@@ -11,9 +11,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import MetricError
-from .estimator import SecondaryNoiseSpec, inject_noise
+from .estimator import SecondaryNoiseSpec
 from .model import ChadModel, ModelConfig
-from .negsampler import NegSamplerConfig, negatives_for_dataset
+from .negsampler import NegSamplerConfig, generate_negatives_batch
 from .nn import Array
 from .seeds import named_streams
 from .trainer import TrainSchedule, train
@@ -206,9 +206,12 @@ def negative_latent_spread(model: ChadModel, dataset: Dataset,
                            neg_config: NegSamplerConfig, noise_spec: SecondaryNoiseSpec,
                            rng: np.random.Generator) -> dict:
     """Per-dimension variance of (optionally noise-injected) negative latents."""
-    neg_cat, neg_cont = negatives_for_dataset(dataset, neg_config, rng)
+    neg_cat, neg_cont = generate_negatives_batch(dataset.cat, dataset.cont, neg_config,
+                                                 dataset.schema, rng)
     z = model.encode(neg_cat, neg_cont)
-    z = inject_noise(z, noise_spec, rng)
+    noise = noise_spec.draw(rng, *z.shape)
+    if noise is not None:
+        z += noise
     var = z.var(axis=0)
     return {"per_dim_variance": var.tolist(), "mean_variance": float(var.mean())}
 

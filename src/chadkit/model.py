@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autoencoder import Autoencoder, FieldTransformSpec, FoldedEncoder
-from .data import Dataset, RecordSchema, as_batch
+from .data import Dataset, RecordSchema
 from .errors import SchemaError
 from .estimator import Estimator
 from .nn import Array, merge_grads
@@ -126,18 +126,15 @@ class ChadModel:
     # ---- forward passes --------------------------------------------------
 
     def encode(self, cat: Array, cont: Array) -> Array:
-        """Latent vectors in inference mode, through a freshly folded encoder."""
+        """Latent vectors in inference mode, through a freshly folded encoder.
+        Raw arrays are checked against the schema once per call."""
         return np.concatenate(list(self._latent_chunks(cat, cont)))
 
     def _latent_chunks(self, cat: Array, cont: Array):
         return FoldedEncoder(self.autoencoder).encode_chunks(cat, cont, SCORE_CHUNK_ROWS)
 
-    def encode_dataset(self, dataset: Dataset) -> Array:
-        self.check_schema(dataset)
-        return self.encode(dataset.cat, dataset.cont)
-
     def score_records(self, cat: Array, cont: Array) -> Array:
-        """Likelihood score per record, dropout off."""
+        """Likelihood score per record, dropout off; checked like ``encode``."""
         return np.concatenate([self.estimator.score(z)
                                for z in self._latent_chunks(cat, cont)])
 
@@ -160,10 +157,10 @@ class ChadModel:
         ``neg_cat``/``neg_cont`` hold K negatives per record, flattened
         row-major; ``noise`` is an optional precomputed (B*K, p) latent
         offset. The gradient continues through the encoder and field
-        transforms on both the positive and negative paths.
+        transforms on both the positive and negative paths. Like the other
+        losses, it takes in-range 2-D batches and does not check them.
         """
-        b = as_batch(self.schema, cat, cont)[0].shape[0]
-        s = as_batch(self.schema, neg_cat, neg_cont)[0].shape[0]
+        b, s = cat.shape[0], neg_cat.shape[0]
         if b == 0 or s % max(b, 1) != 0:
             raise ValueError("negative count must be a positive multiple of the batch size")
         k = s // b

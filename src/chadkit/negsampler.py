@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Record, RecordSchema, as_batch
+from .data import Record, RecordSchema, as_batch
 from .errors import ConfigError, SchemaError
 
 Array = np.ndarray
@@ -170,10 +170,3 @@ def generate_negatives(record: Record, config: NegSamplerConfig,
         record.cat[None, :], record.cont[None, :], config, schema, rng)
     return [Record(neg_cat[i], neg_cont[i], label=1, record_id=record.record_id)
             for i in range(config.m)]
-
-
-def negatives_for_dataset(dataset: Dataset, config: NegSamplerConfig,
-                          rng: np.random.Generator):
-    """Negatives for every record of a dataset, flattened row-major."""
-    return generate_negatives_batch(dataset.cat, dataset.cont, config,
-                                    dataset.schema, rng)

@@ -6,8 +6,6 @@ push a gradient back through itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import expit
 
@@ -44,10 +42,9 @@ class DenseLayer:
         self.b = np.zeros(out_dim)
 
     def forward(self, x: Array):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.in_dim:
-            raise SchemaError(
-                f"dense layer expects input dim {self.in_dim}, got {x.shape[1]}")
+        """Activations of a 2-D float64 batch ``x`` of width ``in_dim``, and
+        the cache for ``backward``. The width is not checked here: a
+        ``DenseStack`` chains layers whose widths match by construction."""
         z = x @ self.W.T + self.b
         if self.activation == "tanh":
             a = np.tanh(z)
@@ -163,62 +160,38 @@ def mse_loss_backward(x: Array, x_hat: Array):
     return g, -g
 
 
-@dataclass
-class AdamState:
-    """Per-parameter first/second moments plus the shared step counter."""
-
-    m: dict[str, Array]
-    v: dict[str, Array]
-    t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
-def init_adam(params: dict[str, Array], beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
-    if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-        raise ValueError("beta1 and beta2 must lie in (0, 1)")
-    return AdamState(
-        m={k: np.zeros_like(p) for k, p in params.items()},
-        v={k: np.zeros_like(p) for k, p in params.items()},
-        t=0, beta1=beta1, beta2=beta2, eps=eps,
-    )
-
-
-def adam_step(state: AdamState, params: dict[str, Array], grads: dict[str, Array],
-              lr: float) -> dict[str, Array]:
-    """One bias-corrected Adam update, applied to ``params`` in place."""
-    for key, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise TrainingDiverged(f"non-finite gradient for parameter {key!r}")
-    state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
-    for key in state.m:
-        g = grads[key]
-        state.m[key] = state.beta1 * state.m[key] + (1.0 - state.beta1) * g
-        state.v[key] = state.beta2 * state.v[key] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[key] / bc1
-        v_hat = state.v[key] / bc2
-        params[key] -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return params
-
-
 class Adam:
-    """Optimizer owning a fixed set of live parameter arrays."""
+    """Bias-corrected Adam owning a fixed set of live parameter arrays,
+    which ``step`` updates in place."""
 
     def __init__(self, params: dict[str, Array], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must lie in (0, 1)")
         self.params = params
         self.lr = lr
-        self.state = init_adam(params, beta1, beta2, eps)
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = {k: np.zeros_like(p) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p) for k, p in params.items()}
+        self.t = 0
 
     def step(self, grads: dict[str, Array]):
-        missing = set(self.state.m) - set(grads)
+        missing = set(self.m) - set(grads)
         if missing:
             raise ValueError(f"missing gradients for {sorted(missing)}")
-        adam_step(self.state, self.params, grads, self.lr)
+        for key, g in grads.items():
+            if not np.all(np.isfinite(g)):
+                raise TrainingDiverged(f"non-finite gradient for parameter {key!r}")
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for key in self.m:
+            g = grads[key]
+            self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * g
+            self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * (g * g)
+            m_hat = self.m[key] / bc1
+            v_hat = self.v[key] / bc2
+            self.params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def merge_grads(dst: dict[str, Array], src: dict[str, Array], scale: float = 1.0):

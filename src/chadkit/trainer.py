@@ -136,9 +136,8 @@ class _PhaseRunner:
                     neg_cat, neg_cont = generate_negatives_batch(
                         cat, cont, self.neg_config, self.data.schema,
                         self.streams["negsampler"])
-                    if self.noise_spec.enabled:
-                        noise = self.streams["noise"].standard_normal(
-                            (neg_cat.shape[0], self.model.latent_dim))
+                    noise = self.noise_spec.draw(self.streams["noise"], neg_cat.shape[0],
+                                                 self.model.latent_dim)
                 if phase == 3:
                     neg_latents = encoder.encode(neg_cat, neg_cont)
                     if noise is not None:

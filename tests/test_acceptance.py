@@ -5,6 +5,7 @@ budget, and prints a single PASS line with the measured values (visible
 with ``pytest -v -s`` or in failure output). The desk-scale detector run is
 shared between the detection gate and the anomaly-ratio harness gate.
 """
+import hashlib
 import math
 import time
 
@@ -38,9 +39,13 @@ def schema_with(arities, r):
 DESK_SEEDS = (1, 2, 3, 4, 5)
 
 
-def _desk_run(seed):
+def _desk_split(seed):
     ds = make_clustered_dataset(6000, arities=(10, 20, 35, 50), n_cont=6, seed=seed)
-    train_set, test_set = split_train_test(ds, 1 / 6, seed=seed)
+    return split_train_test(ds, 1 / 6, seed=seed)
+
+
+def _desk_run(seed):
+    train_set, test_set = _desk_split(seed)
     stats = ck.fit_normalize(train_set)
     train_n = ck.apply_normalize(stats, train_set)
     test_n = ck.apply_normalize(stats, test_set)
@@ -330,3 +335,49 @@ def test_criterion_8_vary_anomaly_harness(desk_models):
     _report("8 vary-anomaly-harness",
             f"{trend}; trend-monotone-ish={monotone} (logged, not asserted); "
             f"{elapsed:.1f}s")
+
+
+# ---- reproducibility: the pinned model file ------------------------------------
+
+# SHA-256 of the desk seed-1 model file, and the numpy and BLAS build it was
+# recorded with: another numpy or BLAS may round differently and still be
+# reproducible on its own.
+PINNED_DESK_SHA256 = "7827a3279eada28449be6fbb89f4c737331fb35555dc82106e0c32b4a70b9f40"
+PINNED_BUILD = ("2.4.6", "scipy-openblas", "0.3.31")
+
+
+def _numpy_blas_build():
+    """(numpy version, BLAS name, BLAS version), or None when numpy cannot say."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):   # numpy < 1.26 has no mode="dicts"
+        return None
+    return np.__version__, blas.get("name"), str(blas.get("version", ""))
+
+
+def test_pinned_model_hash(desk_models, tmp_path):
+    ds = make_clustered_dataset(300, arities=(5, 7), n_cont=6, n_clusters=3, seed=9)
+    ds = ck.apply_normalize(ck.fit_normalize(ds), ds)
+    files = []
+    for run in range(2):
+        model = ck.ChadModel(ds.schema, ck.ModelConfig(encoder_sizes=(8, 4)),
+                             np.random.default_rng(9))
+        train(model, ds, TrainSchedule(phase_epochs=(2, 1, 2), batch_size=64, seed=9),
+              NegSamplerConfig(m=3), SecondaryNoiseSpec(True))
+        ck.save_model(tmp_path / f"short{run}.chad", model, ck.fit_normalize(ds))
+        files.append((tmp_path / f"short{run}.chad").read_bytes())
+    assert files[0] == files[1]
+
+    model, _ = desk_models[1]
+    ck.save_model(tmp_path / "desk1.chad", model, ck.fit_normalize(_desk_split(1)[0]))
+    digest = hashlib.sha256((tmp_path / "desk1.chad").read_bytes()).hexdigest()
+    build = _numpy_blas_build()
+    pinned = build is not None and build[:2] == PINNED_BUILD[:2] \
+        and build[2].startswith(PINNED_BUILD[2])
+    if pinned:
+        assert digest == PINNED_DESK_SHA256
+    _report("pinned-model-hash",
+            f"two same-seed trainings wrote identical bytes; desk seed-1 sha256 "
+            f"{digest[:8]}... " + ("equals the pinned hash" if pinned else
+                                  f"not compared: numpy/BLAS {build} is not the "
+                                  f"pinned {PINNED_BUILD}, byte equality only"))

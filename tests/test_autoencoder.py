@@ -66,12 +66,6 @@ class TestFieldTransform:
         out, _ = transform.forward(np.array([[1]]), np.zeros((1, 0)))
         assert out.tolist() == [[0.0, 1.0, 0.0]]
 
-    def test_index_out_of_range(self):
-        schema = schema_with((3,), 1)
-        transform = FieldTransform(schema, FieldTransformSpec((2,), 1))
-        with pytest.raises(SchemaError):
-            transform.forward(np.array([[3]]), np.zeros((1, 1)))
-
     def test_embedding_gradients_touch_only_batch_indices(self):
         schema = schema_with((5,), 2)
         spec = FieldTransformSpec((4,), 2)

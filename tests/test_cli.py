@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chadkit.cli import main
@@ -135,6 +136,25 @@ class TestTrain:
         assert a != b
         resolved = json.loads((tmp_path / "seeded/resolved_config.json").read_text())
         assert resolved["seed"] == 99
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_nonfinite_training_cell_exits_2(self, workspace, tmp_path, capsys, cell):
+        src = (workspace / "train.csv").read_text().splitlines()
+        parts = src[3].split(",")
+        parts[2] = cell
+        data = tmp_path / "nonfinite.csv"
+        data.write_text("\n".join(src[:3] + [",".join(parts)] + src[4:40]) + "\n")
+        message = f"row 4, column {src[0].split(',')[2]!r}: {cell!r} is not a finite number"
+        config = json.loads((workspace / "train_cfg.json").read_text())
+        config.update(train_data=str(data), out_dir=str(tmp_path / "out"))
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out/model.chad").exists()
+        dump = {"schema": config["schema"], "data": str(data), "out_dir": str(tmp_path / "dump")}
+        (tmp_path / "dump.json").write_text(json.dumps(dump))
+        assert main(["negsample-dump", "--config", str(tmp_path / "dump.json")]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestScore:
@@ -333,43 +353,13 @@ class TestNegsampleDump:
 
 
 class TestNumericFailure:
-    def test_nan_training_data_exits_4(self, workspace, tmp_path):
-        src = (workspace / "train.csv").read_text().splitlines()
-        parts = src[1].split(",")
-        parts[2] = "nan"  # a parseable float that poisons normalization
-        doctored = [src[0], ",".join(parts)] + src[2:40]
-        data = tmp_path / "nan.csv"
-        data.write_text("\n".join(doctored) + "\n")
+    def test_diverging_training_exits_4(self, workspace, tmp_path, capsys):
+        # valid input; steps of 1e300 overflow the reconstruction loss
         config = json.loads((workspace / "train_cfg.json").read_text())
-        config["train_data"] = str(data)
+        config["train"]["learning_rate"] = 1e300
         config["out_dir"] = str(tmp_path / "out")
         (tmp_path / "cfg.json").write_text(json.dumps(config))
-        assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 4
-
-
-class TestThreads:
-    def test_env_var_parsed(self, monkeypatch):
-        from chadkit.cli import max_workers
-        monkeypatch.setenv("CHADKIT_THREADS", "4")
-        assert max_workers() == 4
-        monkeypatch.setenv("CHADKIT_THREADS", "junk")
-        from chadkit.errors import ConfigError
-        with pytest.raises(ConfigError):
-            max_workers()
-
-    def test_threaded_eval_matches_sequential(self, workspace, tmp_path,
-                                              monkeypatch):
-        config = {"model": str(workspace / "run/model.chad"),
-                  "test_data": str(workspace / "train.csv"),
-                  "anomaly_fraction": 0.2, "seeds": [0, 1, 2],
-                  "out_dir": str(tmp_path / "seq")}
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
-        monkeypatch.setenv("CHADKIT_THREADS", "1")
-        assert main(["eval", "--config", str(tmp_path / "cfg.json")]) == 0
-        config["out_dir"] = str(tmp_path / "par")
-        (tmp_path / "cfg2.json").write_text(json.dumps(config))
-        monkeypatch.setenv("CHADKIT_THREADS", "3")
-        assert main(["eval", "--config", str(tmp_path / "cfg2.json")]) == 0
-        a = json.loads((tmp_path / "seq/eval_report.json").read_text())
-        b = json.loads((tmp_path / "par/eval_report.json").read_text())
-        assert a["ap_per_seed"] == b["ap_per_seed"]
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 4
+        assert "numeric failure: non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "out/model.chad").exists()

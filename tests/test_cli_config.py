@@ -132,6 +132,7 @@ MALFORMED = [
     ("train", _set("train", 5, "model", "encoder_sizes"), "model.encoder_sizes must"),
     ("train", _set("train", 2, "model", "dropout_ae"), "model: dropout rates"),
     ("train", _set("train", 0, "model", "g_dim"), "model: embed_cap and g_dim"),
+    ("train", _set("train", [2**40], "model", "encoder_sizes"), "model.encoder_sizes"),
     ("train", _set("train", "abc", "seed"), "seed must be an integer"),
     ("train", _set("train", -1, "seed"), "seed must be >= 0"),
     ("train", _set("train", True, "min_count"), "min_count must be an integer"),

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chadkit.estimator import (Estimator, SecondaryNoiseSpec, contrastive_loss_terms,
-                               inject_noise)
+from chadkit.estimator import Estimator, SecondaryNoiseSpec, contrastive_loss_terms
 from chadkit.nn import grad_check
 
 
@@ -36,24 +35,25 @@ class TestLikelihood:
 
 
 class TestInjectNoise:
+    """``SecondaryNoiseSpec.draw``, the one source of the secondary noise."""
+
     def test_disabled_is_identity(self):
-        z = np.random.default_rng(4).normal(size=(6, 5))
-        out = inject_noise(z, SecondaryNoiseSpec(enabled=False),
-                           np.random.default_rng(5))
-        assert np.array_equal(out, z)
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        assert SecondaryNoiseSpec(enabled=False).draw(rng, 6, 5) is None
+        assert rng.bit_generator.state == before
 
     def test_noise_mean_is_zero_montecarlo(self):
-        rng = np.random.default_rng(6)
         draws = 100_000
-        z = np.zeros((draws, 3))
-        out = inject_noise(z, SecondaryNoiseSpec(), rng)
+        noise = SecondaryNoiseSpec().draw(np.random.default_rng(6), draws, 3)
+        assert noise.shape == (draws, 3)
         se = 1.0 / math.sqrt(draws)
-        assert np.all(np.abs(out.mean(axis=0)) < 3 * se)
+        assert np.all(np.abs(noise.mean(axis=0)) < 3 * se)
 
     def test_variance_additivity(self):
         rng = np.random.default_rng(7)
         z = rng.normal(scale=0.6, size=(60_000, 4))
-        noisy = inject_noise(z, SecondaryNoiseSpec(), np.random.default_rng(8))
+        noisy = z + SecondaryNoiseSpec().draw(np.random.default_rng(8), *z.shape)
         base = z.var(axis=0)
         got = noisy.var(axis=0)
         # sampling tolerance on the variance of a sum of independents
