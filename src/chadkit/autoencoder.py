@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,10 +18,11 @@ from .data import RecordSchema, as_batch
 from .errors import SchemaError
 from .nn import Array, DenseStack, glorot_uniform, mse_loss, mse_loss_backward
 
-CONT_TRANSFORM_THRESHOLD = 32
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 
-def default_embed_dim(arity: int, cap: int = 32) -> int:
+def default_embed_dim(arity: int, cap: int) -> int:
     """Sublinear embedding width so high-arity fields stay tractable."""
     return min(int(math.ceil(math.sqrt(arity))) + 1, cap)
 
@@ -30,14 +32,15 @@ class FieldTransformSpec:
     """Widths of the per-field input transforms.
 
     ``embed_dims`` has one entry per categorical field. The continuous block
-    is passed through unchanged unless it is wider than the threshold, in
-    which case a learned linear map to ``g_dim`` is used.
+    is passed through unchanged ("identity") unless it is wider than the
+    model's ``cont_threshold``, in which case a learned linear map to
+    ``g_dim`` is used ("linear").
     """
 
     embed_dims: tuple[int, ...]
     cont_dim: int
-    cont_mode: str = "identity"      # "identity" | "linear"
-    g_dim: int = 32
+    cont_mode: str
+    g_dim: int
 
     def __post_init__(self):
         self.embed_dims = tuple(int(e) for e in self.embed_dims)
@@ -47,15 +50,14 @@ class FieldTransformSpec:
             raise ValueError(f"unknown continuous mode {self.cont_mode!r}")
 
     @classmethod
-    def for_schema(cls, schema: RecordSchema, embed_cap: int = 32,
-                   cont_threshold: int = CONT_TRANSFORM_THRESHOLD,
-                   g_dim: int = 32) -> "FieldTransformSpec":
-        mode = "linear" if schema.r > cont_threshold else "identity"
+    def for_schema(cls, schema: RecordSchema, config: ModelConfig) -> "FieldTransformSpec":
+        """The transform widths ``config`` gives ``schema``'s fields."""
+        mode = "linear" if schema.r > config.cont_threshold else "identity"
         return cls(
-            embed_dims=tuple(default_embed_dim(a, embed_cap) for a in schema.arities),
+            embed_dims=tuple(default_embed_dim(a, config.embed_cap) for a in schema.arities),
             cont_dim=schema.r,
             cont_mode=mode,
-            g_dim=g_dim,
+            g_dim=config.g_dim,
         )
 
     @property
@@ -98,13 +100,11 @@ class FieldTransform:
     """
 
     def __init__(self, schema: RecordSchema, spec: FieldTransformSpec,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator):
         if len(spec.embed_dims) != schema.k:
             raise SchemaError("spec embedding count does not match schema")
         if spec.cont_dim != schema.r:
             raise SchemaError("spec continuous width does not match schema")
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.schema = schema
         self.spec = spec
         self.embeddings = [
@@ -160,10 +160,7 @@ class Autoencoder:
     """
 
     def __init__(self, schema: RecordSchema, spec: FieldTransformSpec,
-                 encoder_sizes=(64, 32, 16), dropout: float = 0.2,
-                 rng: np.random.Generator | None = None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+                 encoder_sizes, dropout: float, rng: np.random.Generator):
         self.schema = schema
         self.transform = FieldTransform(schema, spec, rng)
         d_t = self.transform.output_dim
@@ -174,25 +171,16 @@ class Autoencoder:
         activations = ["tanh"] * len(dec_hidden) + ["sigmoid"]
         self.decoder = DenseStack(dec_sizes, activations, dropout, rng)
         self.encoder_sizes = tuple(encoder_sizes)
-        self.dropout = dropout
 
     @property
     def latent_dim(self) -> int:
         return self.encoder_sizes[-1]
-
-    @property
-    def transformed_dim(self) -> int:
-        return self.transform.output_dim
 
     def encode(self, cat: Array, cont: Array, train: bool = False,
                rng: np.random.Generator | None = None):
         x_t, ft_cache = self.transform.forward(cat, cont)
         x_e, enc_caches = self.encoder.forward(x_t, train, rng)
         return x_e, (ft_cache, enc_caches, x_t)
-
-    def decode(self, x_e: Array, train: bool = False,
-               rng: np.random.Generator | None = None):
-        return self.decoder.forward(x_e, train, rng)
 
     def reconstruction_loss(self, cat: Array, cont: Array, train: bool = False,
                             rng: np.random.Generator | None = None):
@@ -203,7 +191,7 @@ class Autoencoder:
         target side contributes gradient too.
         """
         x_e, (ft_cache, enc_caches, x_t) = self.encode(cat, cont, train, rng)
-        x_hat, dec_caches = self.decode(x_e, train, rng)
+        x_hat, dec_caches = self.decoder.forward(x_e, train, rng)
         loss = mse_loss(x_t, x_hat)
         g_xt_target, g_xhat = mse_loss_backward(x_t, x_hat)
         g_xe, dec_grads = self.decoder.backward(dec_caches, g_xhat)

@@ -60,8 +60,8 @@ _NEGATIVES = {"m": "int", "delta": "number", "dampening": "number"}
 _RUN = {"seed": "int", "out_dir": "str"}
 CONFIG_TABLES = {
     "train": {
-        "schema": "file!", "train_data": "file!", "min_count": "int!", "clamp": "bool",
-        "label_field": "str", "secondary_noise": "bool", "negatives": _NEGATIVES,
+        "schema": "file!", "train_data": "file!", "min_count": "int!",
+        "secondary_noise": "bool", "negatives": _NEGATIVES,
         "model": {"encoder_sizes": "ints", "embed_cap": "int", "cont_threshold": "int",
                   "g_dim": "int", "dropout_ae": "number", "dropout_est": "number"},
         "train": {"phase_epochs": "ints", "learning_rate": "number", "batch_size": "int",
@@ -187,6 +187,13 @@ def _write_json(path, obj):
         f.write("\n")
 
 
+def _rows_summary(report) -> str:
+    """What ``load_csv`` kept and dropped, for error messages."""
+    return (f"{report.rows_read} read, {report.rows_kept} kept after loading "
+            f"({report.rows_dropped_missing} with empty cells, {report.rows_dropped_unseen} "
+            f"unseen, {report.rows_dropped_nonfinite} non-finite dropped)")
+
+
 # ---- train -----------------------------------------------------------------
 
 
@@ -197,21 +204,16 @@ def _load_training(config: dict, data_key: str):
     if min_count < 1:
         raise ConfigError(f"min_count must be an integer >= 1, got {min_count}")
     path = config[data_key]
-    dataset, report = load_csv(path, RecordSchema(*read_schema_file(config["schema"])),
-                               label_field=config.get("label_field"))
+    dataset, report = load_csv(path, RecordSchema(*read_schema_file(config["schema"])))
     if report.first_nonfinite:
         raise DataError(f"{path}: {report.first_nonfinite} is not a finite number; "
                         f"training data must be finite")
     dataset = filter_rare_entities(dataset, min_count)
     if dataset.n == 0:
-        raise DataError(
-            f"{path}: no training rows left: {report.rows_read} read, "
-            f"{report.rows_kept} kept after loading ({report.rows_dropped_missing} with "
-            f"empty cells, {report.rows_dropped_unseen} unseen, "
-            f"{report.rows_dropped_nonfinite} non-finite dropped), 0 after "
-            f"min_count {min_count} pruning")
+        raise DataError(f"{path}: no training rows left: {_rows_summary(report)}, "
+                        f"0 after min_count {min_count} pruning")
     stats = fit_normalize(dataset)
-    return apply_normalize(stats, dataset, config.get("clamp", False)), stats, report
+    return apply_normalize(stats, dataset), stats, report
 
 
 def cmd_train(args) -> int:
@@ -222,8 +224,7 @@ def cmd_train(args) -> int:
     noise_spec = SecondaryNoiseSpec(config.get("secondary_noise", True))
     out = _out_dir(config, args)
     dataset, stats, report = _load_training(config, "train_data")
-    spec = FieldTransformSpec.for_schema(dataset.schema, model_config.embed_cap,
-                                         model_config.cont_threshold, model_config.g_dim)
+    spec = FieldTransformSpec.for_schema(dataset.schema, model_config)
     count = parameter_count(dataset.schema, model_config, spec)
     if count > MAX_PARAMETERS:
         raise ConfigError(f"model: {count} parameters exceed the limit of {MAX_PARAMETERS}; "
@@ -256,8 +257,7 @@ def _load_for_model(model: ChadModel, stats, data_path, label_field=None):
     missing = wanted - set(header)
     if missing:
         raise SchemaError(f"{data_path} lacks model schema columns {sorted(missing)}")
-    dataset, report = load_csv(data_path, model.schema, label_field=label_field,
-                               drop_nonfinite=True)
+    dataset, report = load_csv(data_path, model.schema, label_field=label_field)
     if dataset.schema.hash() != model.schema.hash():
         raise SchemaError(f"{data_path} introduced categories not in the model schema")
     return apply_normalize(stats, dataset), report
@@ -273,19 +273,53 @@ def cmd_score(args) -> int:
     dataset, report = _load_for_model(model, stats, args.data)
     scored = score_dataset(model, dataset).sorted_ascending()
     out_path = Path(args.out)
-    if out_path.parent != Path(""):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
     # the bytes csv.writer would write, in one write
     lines = map("{},{:.12g}\r\n".format, scored.ids.tolist(), scored.scores.tolist())
-    with open(out_path, "w", newline="") as f:
-        f.write("record_id,score\r\n" + "".join(lines))
-    _write_json(out_path.with_suffix(out_path.suffix + ".report.json"),
-                report.to_json())
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        with open(out_path, "w", newline="") as f:
+            f.write("record_id,score\r\n" + "".join(lines))
+        _write_json(out_path.with_suffix(out_path.suffix + ".report.json"),
+                    report.to_json())
+    except OSError as err:
+        raise ConfigError(f"cannot write scores to {out_path}: {err}") from None
     print(f"{len(scored.ids)} scores written to {out_path}")
     return EXIT_OK
 
 
 # ---- eval ------------------------------------------------------------------
+
+
+def _synthetic_eval(model, test_set, fraction: float, percentages, seeds, seed: int) -> dict:
+    """AP per seed on ``test_set`` plus synthetic anomalies, and the
+    anomaly-ratio sweep when ``percentages`` are given."""
+    # synth_anomalies appends the anomalies after the unchanged test rows, so
+    # the test rows are scored once and each seed scores only its anomalies
+    nominal_scores = score_dataset(model, test_set).scores
+    aps = []
+    for s in seeds:
+        labeled = synth_anomalies(test_set, fraction, np.random.default_rng(s))
+        if labeled.n == test_set.n:
+            raise MetricError(f"anomaly_fraction {fraction:g} of {test_set.n} test rows "
+                              f"gives no anomalies")
+        anomaly_scores = model.score_records(labeled.cat[test_set.n:],
+                                             labeled.cont[test_set.n:])
+        aps.append(average_precision(np.concatenate([nominal_scores, anomaly_scores]),
+                                     labeled.labels))
+    report = {
+        "anomaly_fraction": fraction,
+        "ap_per_seed": [{"seed": int(s), "ap": float(a)} for s, a in zip(seeds, aps)],
+        "ap_mean": float(np.mean(aps)),
+        "ap_sd": float(np.std(aps, ddof=1)) if len(aps) > 1 else 0.0,
+    }
+    if percentages:
+        pool_frac = max(percentages) / 100.0
+        pool_frac = pool_frac / (1.0 - pool_frac) * 1.5
+        pool = synth_anomalies(test_set, pool_frac, np.random.default_rng(seed + 7919))
+        pool = pool.subset(np.nonzero(pool.labels == 1)[0])
+        report["vary_anomaly"] = vary_anomaly_harness(model, test_set, pool, percentages,
+                                                      seeds)
+    return report
 
 
 def cmd_eval(args) -> int:
@@ -298,37 +332,19 @@ def cmd_eval(args) -> int:
     seeds = config.get("seeds", [seed + i for i in range(5)])
 
     model, stats = load_model(config["model"])
-    test_set, _ = _load_for_model(model, stats, config["test_data"])
-
-    # synth_anomalies appends the anomalies after the unchanged test rows, so
-    # the test rows are scored once and each seed scores only its anomalies
-    nominal_scores = score_dataset(model, test_set).scores
-    aps = []
-    for s in seeds:
-        labeled = synth_anomalies(test_set, fraction, np.random.default_rng(s))
-        anomaly_scores = model.score_records(labeled.cat[test_set.n:],
-                                             labeled.cont[test_set.n:])
-        aps.append(average_precision(np.concatenate([nominal_scores, anomaly_scores]),
-                                     labeled.labels))
-    report = {
-        "config": {**config, "seed": seed},
-        "anomaly_fraction": fraction,
-        "ap_per_seed": [{"seed": int(s), "ap": float(a)} for s, a in zip(seeds, aps)],
-        "ap_mean": float(np.mean(aps)),
-        "ap_sd": float(np.std(aps, ddof=1)) if len(aps) > 1 else 0.0,
-    }
+    test_set, load_report = _load_for_model(model, stats, config["test_data"])
+    try:
+        report = _synthetic_eval(model, test_set, fraction, percentages, seeds, seed)
+    except MetricError as err:
+        raise MetricError(f"{err}; {config['test_data']}: "
+                          f"{_rows_summary(load_report)}") from None
+    report.update(config={**config, "seed": seed}, load_report=load_report.to_json())
 
     if percentages:
-        pool_frac = max(percentages) / 100.0
-        pool_frac = pool_frac / (1.0 - pool_frac) * 1.5
-        pool = synth_anomalies(test_set, pool_frac, np.random.default_rng(seed + 7919))
-        pool = pool.subset(np.nonzero(pool.labels == 1)[0])
-        rows = vary_anomaly_harness(model, test_set, pool, percentages, seeds)
-        report["vary_anomaly"] = rows
         with open(out / "vary_anomaly.csv", "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["percent", "ap_mean", "ap_sd", "runs"])
-            for row in rows:
+            for row in report["vary_anomaly"]:
                 writer.writerow([row["percent"], f"{row['ap_mean']:.6f}",
                                  f"{row['ap_sd']:.6f}", row["runs"]])
 

@@ -137,12 +137,16 @@ def _kmeanspp_seeds(points: Array, k: int, rng: np.random.Generator) -> Array:
     return np.array(centers)
 
 
-def fit_kmeans(points: Array, k: int, seed: int, max_iter: int = 300,
-               tol: float = 1e-8) -> KMeansModel:
+KMEANS_MAX_ITER = 300
+KMEANS_TOL = 1e-8
+
+
+def fit_kmeans(points: Array, k: int, seed: int) -> KMeansModel:
     """Lloyd's iterations from k-means++ style seeding.
 
-    Converges when the largest center shift drops below ``tol``. An emptied
-    cluster is re-seeded at the point farthest from its assigned center.
+    Converges when the largest center shift drops below ``KMEANS_TOL`` or at
+    ``KMEANS_MAX_ITER``. An emptied cluster is re-seeded at the point
+    farthest from its assigned center.
     """
     points = np.asarray(points, dtype=float)
     if k < 1:
@@ -152,7 +156,7 @@ def fit_kmeans(points: Array, k: int, seed: int, max_iter: int = 300,
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_seeds(points, k, rng)
     model = KMeansModel(centers)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d = np.linalg.norm(points[:, None, :] - centers[None], axis=2)
         assign = d.argmin(axis=1)
         model.inertia_history.append(float((d.min(axis=1) ** 2).sum()))
@@ -167,7 +171,7 @@ def fit_kmeans(points: Array, k: int, seed: int, max_iter: int = 300,
         shift = np.linalg.norm(new_centers - centers, axis=1).max()
         centers = new_centers
         model.centers = centers
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
     return model
 
@@ -203,37 +207,42 @@ class GmmModel:
         return (m[:, 0] + np.log(np.exp(lp - m).sum(axis=1)))
 
 
-def fit_gmm_em(points: Array, k: int, seed: int, max_iter: int = 500,
-               tol: float = 1e-8, reg: float = 1e-6, max_restarts: int = 5) -> GmmModel:
+GMM_MAX_ITER = 500
+GMM_TOL = 1e-8
+GMM_REG = 1e-6
+GMM_MAX_RESTARTS = 5
+
+
+def fit_gmm_em(points: Array, k: int, seed: int) -> GmmModel:
     """Full-covariance EM; covariances are regularized every M step.
 
-    Stops when the total log-likelihood improves by less than ``tol`` or at
-    ``max_iter``. A numerically singular covariance triggers a restart with a
-    fresh seed, up to ``max_restarts`` times.
+    Stops when the total log-likelihood improves by less than ``GMM_TOL`` or
+    at ``GMM_MAX_ITER``; ``GMM_REG`` is added to every covariance's diagonal.
+    A numerically singular covariance triggers a restart with a fresh seed,
+    up to ``GMM_MAX_RESTARTS`` times.
     """
     points = np.asarray(points, dtype=float)
     n, d = points.shape
     if k < 1:
         raise ValueError("k must be >= 1")
     last_error = None
-    for attempt in range(max_restarts + 1):
+    for attempt in range(GMM_MAX_RESTARTS + 1):
         rng = np.random.default_rng(seed + attempt)
         try:
-            return _fit_gmm_once(points, k, rng, max_iter, tol, reg)
+            return _fit_gmm_once(points, k, rng)
         except np.linalg.LinAlgError as err:
             last_error = err
     raise TrainingDiverged(f"mixture covariance stayed singular after "
-                           f"{max_restarts} restarts: {last_error}")
+                           f"{GMM_MAX_RESTARTS} restarts: {last_error}")
 
 
-def _fit_gmm_once(points: Array, k: int, rng: np.random.Generator,
-                  max_iter: int, tol: float, reg: float) -> GmmModel:
+def _fit_gmm_once(points: Array, k: int, rng: np.random.Generator) -> GmmModel:
     n, d = points.shape
     means = _kmeanspp_seeds(points, k, rng)
-    base_cov = np.cov(points.T, bias=True).reshape(d, d) + reg * np.eye(d)
+    base_cov = np.cov(points.T, bias=True).reshape(d, d) + GMM_REG * np.eye(d)
     model = GmmModel(np.full(k, 1.0 / k), means, np.array([base_cov] * k))
     prev_ll = -np.inf
-    for _ in range(max_iter):
+    for _ in range(GMM_MAX_ITER):
         lp = model.component_logpdf(points) + np.log(model.weights)[None, :]
         m = lp.max(axis=1, keepdims=True)
         log_norm = m[:, 0] + np.log(np.exp(lp - m).sum(axis=1))
@@ -248,9 +257,9 @@ def _fit_gmm_once(points: Array, k: int, rng: np.random.Generator,
         covs = np.empty((k, d, d))
         for c in range(k):
             diff = points - model.means[c]
-            covs[c] = (resp[:, c][:, None] * diff).T @ diff / nk[c] + reg * np.eye(d)
+            covs[c] = (resp[:, c][:, None] * diff).T @ diff / nk[c] + GMM_REG * np.eye(d)
         model.covs = covs
-        if abs(ll - prev_ll) < tol:
+        if abs(ll - prev_ll) < GMM_TOL:
             break
         prev_ll = ll
     return model
@@ -305,8 +314,13 @@ def uniform_negatives(config: ConceptConfig, n: int, box, rng: np.random.Generat
     return np.concatenate(accepted)[:n]
 
 
+# hidden widths and Adam learning rate of the contrastive discriminator
+NCE_HIDDEN = (32, 16)
+NCE_LR = 5e-3
+
+
 def nce_concept(points: Array, config: ConceptConfig, rng: np.random.Generator,
-                hidden=(32, 16), epochs: int = 700, lr: float = 5e-3) -> NceModel:
+                epochs: int = 700) -> NceModel:
     """Train a small MLP to separate nominal points from uniform negatives."""
     points = np.asarray(points, dtype=float)
     box = data_box(points, config.box_expand)
@@ -317,9 +331,9 @@ def nce_concept(points: Array, config: ConceptConfig, rng: np.random.Generator,
     x_pos = (points - center) / scale
     x_neg = (negatives - center) / scale
 
-    sizes = [2, *hidden, 1]
-    stack = DenseStack(sizes, ["tanh"] * len(hidden) + ["sigmoid"], 0.0, rng)
-    opt = Adam(stack.params(), lr)
+    sizes = [2, *NCE_HIDDEN, 1]
+    stack = DenseStack(sizes, ["tanh"] * len(NCE_HIDDEN) + ["sigmoid"], 0.0, rng)
+    opt = Adam(stack.params(), NCE_LR)
     for _ in range(epochs):
         f_pos, pos_caches = stack.forward(x_pos)
         f_neg, neg_caches = stack.forward(x_neg)

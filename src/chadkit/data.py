@@ -79,9 +79,6 @@ class RecordSchema:
     def arities(self) -> tuple[int, ...]:
         return tuple(len(v) for v in self.vocabs)
 
-    def encode_value(self, field_idx: int, value: str) -> int:
-        return self.vocabs[field_idx][value]
-
     def decode_value(self, field_idx: int, index: int) -> str:
         inv = self._inverse[field_idx]
         if inv is None or len(inv) != len(self.vocabs[field_idx]):
@@ -145,10 +142,6 @@ class Dataset:
     def n(self) -> int:
         return self.cat.shape[0]
 
-    def record(self, i: int) -> Record:
-        label = None if self.labels is None else int(self.labels[i])
-        return Record(self.cat[i].copy(), self.cont[i].copy(), label, int(self.ids[i]))
-
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices)
         labels = None if self.labels is None else self.labels[indices]
@@ -166,8 +159,8 @@ class LoadReport:
     rows_dropped_unseen: int = 0
     rows_dropped_nonfinite: int = 0
     arities: dict = field(default_factory=dict)
-    # where the first kept nan or infinite cell is, as "row N, column 'name':
-    # 'cell'", when non-finite rows are kept; not part of the JSON report
+    # where the first dropped nan or infinite cell is, as "row N, column
+    # 'name': 'cell'"; not part of the JSON report
     first_nonfinite: str | None = None
 
     def to_json(self) -> dict:
@@ -217,8 +210,7 @@ def read_csv_header(path) -> list[str]:
     return rows[0] if rows else []
 
 
-def load_csv(path, schema: RecordSchema, label_field: str | None = None,
-             drop_nonfinite: bool = False):
+def load_csv(path, schema: RecordSchema, label_field: str | None = None):
     """Read an RFC-4180 UTF-8 CSV into a Dataset.
 
     When the schema has empty vocabularies they are built from the file
@@ -226,11 +218,10 @@ def load_csv(path, schema: RecordSchema, label_field: str | None = None,
     vocabulary is dropped and counted as unseen.
 
     Returns (dataset, report). Rows with empty cells are dropped and counted;
-    a non-numeric continuous cell is an error naming the row and column.
-    With ``drop_nonfinite`` (scoring input), a row with a nan or infinite
-    continuous cell is dropped and counted too, so it is never scored;
-    without it the row is kept and ``report.first_nonfinite`` names the first
-    such cell, which a caller that needs finite input turns into an error.
+    a non-numeric continuous cell is an error naming the row and column. A
+    row with a nan or infinite continuous cell is dropped and counted too, so
+    it is never scored, and ``report.first_nonfinite`` names the first such
+    cell, for a caller that turns non-finite input into an error.
 
     The file is read ``LOAD_BLOCK_ROWS`` rows at a time and each block is
     converted column by column. A row's fate is decided in this order: wrong
@@ -245,7 +236,7 @@ def load_csv(path, schema: RecordSchema, label_field: str | None = None,
             raise fault
         if not header:
             raise DataError(f"{path}: empty file")
-        converter = _BlockConverter(path, schema, header[0], label_field, drop_nonfinite)
+        converter = _BlockConverter(path, schema, header[0], label_field)
         while True:
             rows, fault = _read_rows(reader, path, LOAD_BLOCK_ROWS)
             converter.add(rows)
@@ -286,7 +277,7 @@ class _BlockConverter:
     """Turns blocks of CSV rows into the int64/float64 arrays of a Dataset."""
 
     def __init__(self, path, schema: RecordSchema, header: list[str],
-                 label_field: str | None, drop_nonfinite: bool):
+                 label_field: str | None):
         wanted = set(schema.cat_fields) | set(schema.cont_fields)
         if label_field is not None:
             wanted.add(label_field)
@@ -300,7 +291,6 @@ class _BlockConverter:
         self.cat_cols = [col[name] for name in schema.cat_fields]
         self.cont_cols = [col[name] for name in schema.cont_fields]
         self.label_col = col[label_field] if label_field is not None else None
-        self.drop_nonfinite = drop_nonfinite
         self.building = all(len(v) == 0 for v in schema.vocabs) and schema.k > 0
         self.vocabs = [dict(v) for v in schema.vocabs]
         self.report = LoadReport()
@@ -357,16 +347,13 @@ class _BlockConverter:
                             f"{cont_cells[j][i]!r} as a number") from None
 
         nonfinite = ~np.isfinite(cont).all(axis=1)
-        if self.drop_nonfinite:
-            kept, cont = kept[~nonfinite], cont[~nonfinite]
-        else:
-            if nonfinite.any() and report.first_nonfinite is None:
-                b = int(np.argmax(nonfinite))
-                i, j = int(kept[b]), int(np.argmin(np.isfinite(cont[b])))
-                report.first_nonfinite = (f"row {first_row + i}, column "
-                                          f"{self.schema.cont_fields[j]!r}: "
-                                          f"{cont_cells[j][i]!r}")
-            nonfinite[:] = False    # kept, so none is counted as dropped
+        if nonfinite.any() and report.first_nonfinite is None:
+            b = int(np.argmax(nonfinite))
+            i, j = int(kept[b]), int(np.argmin(np.isfinite(cont[b])))
+            report.first_nonfinite = (f"row {first_row + i}, column "
+                                      f"{self.schema.cont_fields[j]!r}: "
+                                      f"{cont_cells[j][i]!r}")
+        kept, cont = kept[~nonfinite], cont[~nonfinite]
 
         if self.label_col is not None:
             cells = [rows[i][self.label_col] for i in kept.tolist()]
@@ -494,11 +481,13 @@ def fit_normalize(train: Dataset) -> NormalizationStats:
     return NormalizationStats(mins, maxs)
 
 
-def apply_normalize(stats: NormalizationStats, dataset: Dataset, clamp: bool = False) -> Dataset:
+def apply_normalize(stats: NormalizationStats, dataset: Dataset) -> Dataset:
     """Map continuous values onto the unit range fitted by ``fit_normalize``.
 
-    Values outside the training range land outside [0, 1] unless ``clamp``.
-    Constant training fields map to 0.5 everywhere.
+    The training data lands in [0, 1]. Values outside the training range land
+    outside it, unclamped: the detector's negatives are pushed past the
+    observed range, so that is where it learns to flag records. Constant
+    training fields map to 0.5 everywhere.
     """
     if dataset.schema.r == 0:
         return dataset
@@ -507,8 +496,6 @@ def apply_normalize(stats: NormalizationStats, dataset: Dataset, clamp: bool = F
     safe_span = np.where(constant, 1.0, span)
     cont = (dataset.cont - stats.mins) / safe_span
     cont[:, constant] = 0.5
-    if clamp:
-        cont = np.clip(cont, 0.0, 1.0)
     return Dataset(dataset.schema, dataset.cat.copy(), cont, dataset.labels, dataset.ids)
 
 

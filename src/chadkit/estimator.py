@@ -13,10 +13,11 @@ import numpy as np
 
 from .nn import Array, DenseStack
 
+# lower bound of both log arguments of the contrastive loss
 LOG_CLAMP = 1e-7
 
 
-@dataclass
+@dataclass(frozen=True)
 class SecondaryNoiseSpec:
     """Isotropic unit-covariance noise added to negative latents."""
 
@@ -31,8 +32,7 @@ class SecondaryNoiseSpec:
         return rng.standard_normal((rows, latent_dim))
 
 
-def contrastive_loss_terms(f_pos: Array, f_neg: Array, gamma: float,
-                           clamp: float = LOG_CLAMP):
+def contrastive_loss_terms(f_pos: Array, f_neg: Array, gamma: float):
     """Per-record contrastive loss and its gradients w.r.t. the scores.
 
     ``f_pos`` has shape (B,), ``f_neg`` shape (B, K): K negative scores per
@@ -41,7 +41,7 @@ def contrastive_loss_terms(f_pos: Array, f_neg: Array, gamma: float,
         -gamma * ln(f_pos) - ln(1 - mean_k f_neg)
 
     and the batch loss is the mean over records. Log arguments are clamped
-    below at ``clamp`` to keep the loss finite near the boundary; clamped
+    below at ``LOG_CLAMP`` to keep the loss finite near the boundary; clamped
     coordinates get zero gradient.
     """
     f_pos = np.asarray(f_pos, dtype=float).reshape(-1)
@@ -52,13 +52,13 @@ def contrastive_loss_terms(f_pos: Array, f_neg: Array, gamma: float,
     if k < 1:
         raise ValueError("need at least one negative per record")
 
-    pos_arg = np.maximum(f_pos, clamp)
+    pos_arg = np.maximum(f_pos, LOG_CLAMP)
     neg_mean = f_neg.mean(axis=1)
-    neg_arg = np.maximum(1.0 - neg_mean, clamp)
+    neg_arg = np.maximum(1.0 - neg_mean, LOG_CLAMP)
     loss = float(np.mean(-gamma * np.log(pos_arg) - np.log(neg_arg)))
 
-    d_pos = np.where(f_pos > clamp, -gamma / pos_arg, 0.0) / b
-    d_neg_mean = np.where(1.0 - neg_mean > clamp, 1.0 / neg_arg, 0.0) / b
+    d_pos = np.where(f_pos > LOG_CLAMP, -gamma / pos_arg, 0.0) / b
+    d_neg_mean = np.where(1.0 - neg_mean > LOG_CLAMP, 1.0 / neg_arg, 0.0) / b
     d_neg = np.repeat(d_neg_mean[:, None], k, axis=1) / k
     return loss, d_pos, d_neg
 
@@ -66,8 +66,7 @@ def contrastive_loss_terms(f_pos: Array, f_neg: Array, gamma: float,
 class Estimator:
     """Two-layer MLP scoring latent vectors: input -> floor(p/2) -> 1."""
 
-    def __init__(self, latent_dim: int, dropout: float = 0.1,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, latent_dim: int, dropout: float, rng: np.random.Generator):
         hidden = max(1, latent_dim // 2)
         self.latent_dim = latent_dim
         self.stack = DenseStack([latent_dim, hidden, 1], ["tanh", "sigmoid"], dropout, rng)

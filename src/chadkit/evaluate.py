@@ -154,6 +154,8 @@ def vary_anomaly_harness(model: ChadModel, nominal_test: Dataset, anomaly_pool: 
     for pct in percentages:
         frac = pct / 100.0
         need = int(round(n * frac / (1.0 - frac)))
+        if need == 0:
+            raise MetricError(f"{pct}% of {n} nominal rows gives no anomalies")
         if need > anomaly_pool.n:
             raise MetricError(f"anomaly pool too small for {pct}% "
                               f"({need} needed, {anomaly_pool.n} available)")

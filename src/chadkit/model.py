@@ -83,16 +83,10 @@ def parameter_count(schema: RecordSchema, config: ModelConfig,
 class ChadModel:
     """Autoencoder + estimator with a shared flat parameter view."""
 
-    def __init__(self, schema: RecordSchema, config: ModelConfig | None = None,
-                 rng: np.random.Generator | None = None,
+    def __init__(self, schema: RecordSchema, config: ModelConfig, rng: np.random.Generator,
                  transform_spec: FieldTransformSpec | None = None):
-        if config is None:
-            config = ModelConfig()
-        if rng is None:
-            rng = np.random.default_rng(0)
         if transform_spec is None:
-            transform_spec = FieldTransformSpec.for_schema(
-                schema, config.embed_cap, config.cont_threshold, config.g_dim)
+            transform_spec = FieldTransformSpec.for_schema(schema, config)
         self.schema = schema
         self.config = config
         self.autoencoder = Autoencoder(schema, transform_spec, config.encoder_sizes,

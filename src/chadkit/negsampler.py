@@ -23,11 +23,15 @@ from .errors import ConfigError, SchemaError
 Array = np.ndarray
 
 
+# exponent flattening the arity-weighted field-selection probabilities
+DAMPENING = 0.75
+
+
 @dataclass
 class NegSamplerConfig:
     m: int = 10
     delta: float = 0.5
-    dampening: float = 0.75
+    dampening: float = DAMPENING
 
     def __post_init__(self):
         if self.m < 1:
@@ -36,7 +40,7 @@ class NegSamplerConfig:
             raise ConfigError(f"noise deviation must be > 0, got {self.delta}")
 
 
-def category_probs(arities, dampening: float = 0.75) -> Array:
+def category_probs(arities, dampening: float = DAMPENING) -> Array:
     """Field-selection probabilities: normalized (a_w / sum a)^dampening.
 
     The exponent flattens the distribution so perturbation is not dominated

@@ -13,7 +13,12 @@ from .errors import SchemaError, TrainingDiverged
 
 Array = np.ndarray
 
-ACTIVATIONS = ("tanh", "sigmoid", "identity")
+ACTIVATIONS = ("tanh", "sigmoid")
+
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> Array:
@@ -29,12 +34,10 @@ class DenseLayer:
     (n, in_dim). ``forward`` returns a cache that ``backward`` consumes.
     """
 
-    def __init__(self, in_dim: int, out_dim: int, activation: str = "tanh",
-                 rng: np.random.Generator | None = None):
+    def __init__(self, in_dim: int, out_dim: int, activation: str,
+                 rng: np.random.Generator):
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.activation = activation
@@ -46,31 +49,23 @@ class DenseLayer:
         the cache for ``backward``. The width is not checked here: a
         ``DenseStack`` chains layers whose widths match by construction."""
         z = x @ self.W.T + self.b
-        if self.activation == "tanh":
-            a = np.tanh(z)
-        elif self.activation == "sigmoid":
-            a = expit(z)
-        else:
-            a = z
-        # the activation output is enough to form d(act)/dz for all three
+        a = np.tanh(z) if self.activation == "tanh" else expit(z)
+        # the activation output is enough to form d(act)/dz for both
         return a, (x, a)
 
     def backward(self, cache, grad_out: Array):
         x, a = cache
         if self.activation == "tanh":
             gz = grad_out * (1.0 - a * a)
-        elif self.activation == "sigmoid":
-            gz = grad_out * a * (1.0 - a)
         else:
-            gz = grad_out
+            gz = grad_out * a * (1.0 - a)
         grads = {"W": gz.T @ x, "b": gz.sum(axis=0)}
         return gz @ self.W, grads
 
 
-def dropout_mask(rng: np.random.Generator, shape, rate: float, training: bool = True) -> Array:
-    """Mask of keep-scales; all-ones at rate 0 or in inference mode."""
-    if not training or rate == 0.0:
-        return np.ones(shape)
+def dropout_mask(rng: np.random.Generator, shape, rate: float) -> Array:
+    """Mask of keep-scales: each unit kept with probability 1 - rate and
+    scaled by 1 / (1 - rate)."""
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
@@ -78,31 +73,19 @@ class DenseStack:
     """A sequence of dense layers with dropout after each hidden activation.
 
     ``activations`` gives one activation name per layer. Dropout is applied
-    after every layer except the last, and only when ``train`` is set and an
-    rng is supplied.
+    after every layer except the last, and only when ``train`` is set.
     """
 
-    def __init__(self, sizes, activations, dropout: float = 0.0,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, sizes, activations, dropout: float, rng: np.random.Generator):
         if len(activations) != len(sizes) - 1:
             raise ValueError("need one activation per layer")
         if not (0.0 <= dropout < 1.0):
             raise ValueError(f"dropout rate must be in [0, 1), got {dropout}")
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.dropout = dropout
         self.layers = [
             DenseLayer(sizes[i], sizes[i + 1], activations[i], rng)
             for i in range(len(sizes) - 1)
         ]
-
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0].in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].out_dim
 
     def forward(self, x: Array, train: bool = False, rng: np.random.Generator | None = None):
         if train and self.dropout > 0.0 and rng is None:
@@ -112,11 +95,9 @@ class DenseStack:
         for i, layer in enumerate(self.layers):
             out, cache = layer.forward(out)
             mask = None
-            if i < len(self.layers) - 1:
-                mask = dropout_mask(rng, out.shape, self.dropout, train) \
-                    if (train and self.dropout > 0.0) else None
-                if mask is not None:
-                    out = out * mask
+            if train and self.dropout > 0.0 and i < len(self.layers) - 1:
+                mask = dropout_mask(rng, out.shape, self.dropout)
+                out = out * mask
             caches.append((cache, mask))
         return out, caches
 
@@ -164,13 +145,9 @@ class Adam:
     """Bias-corrected Adam owning a fixed set of live parameter arrays,
     which ``step`` updates in place."""
 
-    def __init__(self, params: dict[str, Array], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
+    def __init__(self, params: dict[str, Array], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(p) for k, p in params.items()}
         self.v = {k: np.zeros_like(p) for k, p in params.items()}
         self.t = 0
@@ -183,15 +160,15 @@ class Adam:
             if not np.all(np.isfinite(g)):
                 raise TrainingDiverged(f"non-finite gradient for parameter {key!r}")
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for key in self.m:
             g = grads[key]
-            self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * g
-            self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * (g * g)
+            self.m[key] = ADAM_BETA1 * self.m[key] + (1.0 - ADAM_BETA1) * g
+            self.v[key] = ADAM_BETA2 * self.v[key] + (1.0 - ADAM_BETA2) * (g * g)
             m_hat = self.m[key] / bc1
             v_hat = self.v[key] / bc2
-            self.params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def merge_grads(dst: dict[str, Array], src: dict[str, Array], scale: float = 1.0):

@@ -24,6 +24,9 @@ from .negsampler import NegSamplerConfig, generate_negatives_batch
 from .nn import Adam
 from .seeds import child_seed, named_streams
 
+# phases 2 and 3 add the secondary noise unless told otherwise
+NOISE_ON = SecondaryNoiseSpec(True)
+
 
 @dataclass
 class TrainSchedule:
@@ -181,12 +184,9 @@ def run_phase1(model: ChadModel, data: Dataset, schedule: TrainSchedule,
 
 
 def run_phase2(model: ChadModel, data: Dataset, schedule: TrainSchedule,
-               neg_config: NegSamplerConfig,
-               noise_spec: SecondaryNoiseSpec | None = None,
+               neg_config: NegSamplerConfig, noise_spec: SecondaryNoiseSpec = NOISE_ON,
                log: TrainLog | None = None, streams=None) -> ChadModel:
     """Joint training with the contrastive term on alternate batches."""
-    if noise_spec is None:
-        noise_spec = SecondaryNoiseSpec(True)
     runner = _runner(model, data, schedule, neg_config, noise_spec, streams, log)
     opt_ae = Adam(model.autoencoder_params(), schedule.learning_rate)
     opt_est = Adam(model.estimator_params(), schedule.learning_rate)
@@ -194,26 +194,21 @@ def run_phase2(model: ChadModel, data: Dataset, schedule: TrainSchedule,
 
 
 def run_phase3(model: ChadModel, data: Dataset, schedule: TrainSchedule,
-               neg_config: NegSamplerConfig,
-               noise_spec: SecondaryNoiseSpec | None = None,
+               neg_config: NegSamplerConfig, noise_spec: SecondaryNoiseSpec = NOISE_ON,
                log: TrainLog | None = None, streams=None) -> ChadModel:
     """Estimator fine-tuning; everything feeding the latent space is frozen."""
-    if noise_spec is None:
-        noise_spec = SecondaryNoiseSpec(True)
     runner = _runner(model, data, schedule, neg_config, noise_spec, streams, log)
     opt_est = Adam(model.estimator_params(), schedule.learning_rate)
     return runner.run(3, None, opt_est)
 
 
 def train(model: ChadModel, data: Dataset, schedule: TrainSchedule,
-          neg_config: NegSamplerConfig, noise_spec: SecondaryNoiseSpec | None = None,
+          neg_config: NegSamplerConfig, noise_spec: SecondaryNoiseSpec = NOISE_ON,
           log: TrainLog | None = None, checkpoint_fn=None) -> ChadModel:
     """All three phases in sequence over a single set of named streams.
 
     ``checkpoint_fn(phase, model)`` is called after each phase when given.
     """
-    if noise_spec is None:
-        noise_spec = SecondaryNoiseSpec(True)
     if log is None:
         log = TrainLog()
     streams = named_streams(schedule.seed)

@@ -7,7 +7,10 @@ from chadkit.autoencoder import (Autoencoder, FieldTransform, FieldTransformSpec
                                  FoldedEncoder, default_embed_dim)
 from chadkit.data import RecordSchema
 from chadkit.errors import SchemaError
+from chadkit.model import ModelConfig
 from chadkit.nn import mse_loss
+
+DEFAULTS = ModelConfig()
 
 
 def schema_with(arities, r):
@@ -18,23 +21,25 @@ def schema_with(arities, r):
 
 class TestFieldTransformSpec:
     def test_dimension_arithmetic(self):
-        spec = FieldTransformSpec(embed_dims=(2, 3), cont_dim=4)
+        spec = FieldTransformSpec(embed_dims=(2, 3), cont_dim=4, cont_mode="identity",
+                                  g_dim=32)
         assert spec.output_dim == 9
 
     def test_wide_continuous_block_gets_linear_transform(self):
         schema = schema_with((4,), 40)
-        spec = FieldTransformSpec.for_schema(schema, g_dim=32)
+        spec = FieldTransformSpec.for_schema(schema, ModelConfig(g_dim=24))
         assert spec.cont_mode == "linear"
-        assert spec.output_dim == default_embed_dim(4) + 32
+        assert spec.output_dim == default_embed_dim(4, DEFAULTS.embed_cap) + 24
 
     def test_narrow_continuous_block_stays_identity(self):
         schema = schema_with((4,), 32)
-        assert FieldTransformSpec.for_schema(schema).cont_mode == "identity"
+        assert FieldTransformSpec.for_schema(schema, DEFAULTS).cont_mode == "identity"
 
     def test_embed_dim_default_is_sublinear_and_capped(self):
-        assert default_embed_dim(9) == 4
-        assert default_embed_dim(50) == 9
-        assert default_embed_dim(10_000) == 32
+        cap = DEFAULTS.embed_cap
+        assert default_embed_dim(9, cap) == 4
+        assert default_embed_dim(50, cap) == 9
+        assert default_embed_dim(10_000, cap) == 32
 
     def test_output_dim_property_over_random_schemas(self):
         rng = np.random.default_rng(8)
@@ -43,12 +48,12 @@ class TestFieldTransformSpec:
             r = int(rng.integers(0 if k else 1, 50))
             arities = tuple(int(a) for a in rng.integers(2, 60, size=k))
             schema = schema_with(arities, r)
-            spec = FieldTransformSpec.for_schema(schema)
+            spec = FieldTransformSpec.for_schema(schema, DEFAULTS)
             transform = FieldTransform(schema, spec, rng)
             x_t, _ = transform.forward(
                 np.array([[rng.integers(0, a) for a in arities]], dtype=np.int64),
                 rng.random((1, r)))
-            expected_cont = spec.g_dim if r > 32 else r
+            expected_cont = spec.g_dim if r > DEFAULTS.cont_threshold else r
             assert x_t.shape == (1, sum(spec.embed_dims) + expected_cont)
             assert x_t.shape == (1, spec.output_dim)
 
@@ -60,15 +65,15 @@ class TestFieldTransformSpec:
 class TestFieldTransform:
     def test_identity_embedding_gives_one_hot(self):
         schema = schema_with((3,), 0)
-        spec = FieldTransformSpec(embed_dims=(3,), cont_dim=0)
-        transform = FieldTransform(schema, spec)
+        spec = FieldTransformSpec(embed_dims=(3,), cont_dim=0, cont_mode="identity", g_dim=32)
+        transform = FieldTransform(schema, spec, np.random.default_rng(0))
         transform.embeddings[0] = np.eye(3)
         out, _ = transform.forward(np.array([[1]]), np.zeros((1, 0)))
         assert out.tolist() == [[0.0, 1.0, 0.0]]
 
     def test_embedding_gradients_touch_only_batch_indices(self):
         schema = schema_with((5,), 2)
-        spec = FieldTransformSpec((4,), 2)
+        spec = FieldTransformSpec((4,), 2, "identity", 32)
         transform = FieldTransform(schema, spec, np.random.default_rng(0))
         cat = np.array([[1], [3], [1]])
         cont = np.random.default_rng(1).random((3, 2))
@@ -82,7 +87,7 @@ class TestFieldTransform:
 class TestAutoencoder:
     def _build(self, arities=(3, 4), r=3, sizes=(8, 4), seed=0):
         schema = schema_with(arities, r)
-        spec = FieldTransformSpec.for_schema(schema)
+        spec = FieldTransformSpec.for_schema(schema, DEFAULTS)
         return schema, Autoencoder(schema, spec, sizes, dropout=0.2,
                                    rng=np.random.default_rng(seed))
 
@@ -91,7 +96,7 @@ class TestAutoencoder:
         for layer in ae.decoder.layers:
             layer.W[...] = 0.0
             layer.b[...] = 0.0
-        x_hat, _ = ae.decode(np.random.default_rng(2).normal(size=(4, 4)))
+        x_hat, _ = ae.decoder.forward(np.random.default_rng(2).normal(size=(4, 4)))
         assert np.allclose(x_hat, 0.5)
 
     def test_encode_output_dimension(self):
@@ -158,7 +163,7 @@ class TestAutoencoder:
         enc_dims = [l.out_dim for l in ae.encoder.layers]
         dec_dims = [l.out_dim for l in ae.decoder.layers]
         assert enc_dims == [16, 8, 4]
-        assert dec_dims == [8, 16, ae.transformed_dim]
+        assert dec_dims == [8, 16, ae.transform.output_dim]
         assert ae.decoder.layers[-1].activation == "sigmoid"
         assert all(l.activation == "tanh" for l in ae.decoder.layers[:-1])
 
@@ -171,8 +176,8 @@ class TestFoldedEncoder:
     ])
     def test_matches_inference_encode(self, arities, r):
         schema = schema_with(arities, r)
-        spec = FieldTransformSpec.for_schema(schema)
-        assert (spec.cont_mode == "linear") == (r > 32)
+        spec = FieldTransformSpec.for_schema(schema, DEFAULTS)
+        assert (spec.cont_mode == "linear") == (r > DEFAULTS.cont_threshold)
         rng = np.random.default_rng(7)
         ae = Autoencoder(schema, spec, (16, 8, 4), dropout=0.2, rng=rng)
         for layer in ae.encoder.layers:
@@ -187,9 +192,9 @@ class TestFoldedEncoder:
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_out_of_range_index_raises_through_score_records(self):
-        from chadkit.model import ChadModel, ModelConfig
+        from chadkit.model import ChadModel
         schema = schema_with((3, 4), 2)
-        model = ChadModel(schema, ModelConfig(encoder_sizes=(8, 4)))
+        model = ChadModel(schema, ModelConfig(encoder_sizes=(8, 4)), np.random.default_rng(0))
         cont = np.full((1, 2), 0.5)
         for bad in ([[3, 0]], [[0, -1]], [[0, 4]]):
             with pytest.raises(SchemaError, match="out of range"):
@@ -200,7 +205,7 @@ class TestChunkedScoring:
     @pytest.mark.parametrize("arities, r", [((3, 7, 12), 5), ((), 6)])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunked_passes_match_one_pass(self, arities, r, offset):
-        from chadkit.model import SCORE_CHUNK_ROWS, ChadModel, ModelConfig
+        from chadkit.model import SCORE_CHUNK_ROWS, ChadModel
         schema = schema_with(arities, r)
         rng = np.random.default_rng(11)
         model = ChadModel(schema, ModelConfig(encoder_sizes=(16, 8, 4)), rng)
@@ -218,8 +223,9 @@ class TestChunkedScoring:
         assert np.max(np.abs(scores - model.estimator.score(whole))) <= 1e-12
 
     def test_empty_input(self):
-        from chadkit.model import ChadModel, ModelConfig
-        model = ChadModel(schema_with((3,), 2), ModelConfig(encoder_sizes=(8, 4)))
+        from chadkit.model import ChadModel
+        model = ChadModel(schema_with((3,), 2), ModelConfig(encoder_sizes=(8, 4)),
+                          np.random.default_rng(0))
         cat, cont = np.zeros((0, 1), dtype=np.int64), np.zeros((0, 2))
         assert model.encode(cat, cont).shape == (0, 4)
         assert model.score_records(cat, cont).shape == (0,)
@@ -231,10 +237,10 @@ class TestChunkedScoring:
     ((), 6, (5,)),             # no categorical fields, a single encoder layer
 ])
 def test_parameter_count_matches_built_model(arities, r, sizes):
-    from chadkit.model import ChadModel, ModelConfig, parameter_count
+    from chadkit.model import ChadModel, parameter_count
     schema = schema_with(arities, r)
     config = ModelConfig(encoder_sizes=sizes)
-    spec = FieldTransformSpec.for_schema(schema)
+    spec = FieldTransformSpec.for_schema(schema, config)
     model = ChadModel(schema, config, np.random.default_rng(0), spec)
     assert parameter_count(schema, config, spec) == sum(
         v.size for v in model.params().values())
@@ -247,6 +253,5 @@ def test_parameter_count_matches_built_model(arities, r, sizes):
 def test_model_config_rejects_out_of_range_fields(field, value):
     # g_dim 0 used to build a zero-width continuous map, so the model ignored
     # every continuous field
-    from chadkit.model import ModelConfig
     with pytest.raises(ValueError, match=field.split("_")[0]):
         ModelConfig(**{field: value})

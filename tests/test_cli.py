@@ -235,6 +235,17 @@ class TestScore:
                    "--data", str(workspace / "train.csv"), "--out", str(tmp_path / "s.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("make, out", [
+        (lambda root: (root / "afile").write_text("x"), "afile/x.csv"),
+        (lambda root: (root / "adir").mkdir(), "adir"),
+    ], ids=["parent_is_a_file", "out_is_a_directory"])
+    def test_unwritable_out_exits_2_naming_path(self, workspace, tmp_path, capsys, make, out):
+        make(tmp_path)
+        rc = main(["score", "--model", str(workspace / "run/model.chad"),
+                   "--data", str(workspace / "train.csv"), "--out", str(tmp_path / out)])
+        assert rc == 2
+        assert f"cannot write scores to {tmp_path / out}" in capsys.readouterr().err
+
     def test_missing_model_exits_2(self, tmp_path):
         rc = main(["score", "--model", str(tmp_path / "no.chad"),
                    "--data", str(tmp_path / "no.csv"),
@@ -264,9 +275,30 @@ class TestEval:
         assert len(report["ap_per_seed"]) == 2
         assert 0.0 <= report["ap_mean"] <= 1.0
         assert [r["percent"] for r in report["vary_anomaly"]] == [5, 10]
+        assert report["load_report"]["rows_read"] == 200
+        assert report["load_report"]["rows_kept"] == 200
         rows = list(csv.reader(open(tmp_path / "eval/vary_anomaly.csv")))
         assert rows[0] == ["percent", "ap_mean", "ap_sd", "runs"]
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"percentages": [2, 5]}, "2% of 12 nominal rows gives no anomalies"),
+        ({"anomaly_fraction": 0.01}, "anomaly_fraction 0.01 of 12 test rows gives no anomalies"),
+    ], ids=["percentage", "fraction"])
+    def test_mostly_unseen_test_csv_names_counts(self, workspace, tmp_path, capsys,
+                                                 settings, message):
+        src = (workspace / "train.csv").read_text().splitlines()
+        rows = [line if i % 50 < 3 else "unseen_value," + line.split(",", 1)[1]
+                for i, line in enumerate(src[1:])]
+        data = tmp_path / "mostly_unseen.csv"
+        data.write_text("\n".join([src[0], *rows]) + "\n")
+        config = {"model": str(workspace / "run/model.chad"), "test_data": str(data),
+                  "seeds": [0], "out_dir": str(tmp_path / "eval"), **settings}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert main(["eval", "--config", str(tmp_path / "cfg.json")]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "200 read, 12 kept after loading" in err and "188 unseen" in err
 
 
 class TestBenchConcept:

@@ -38,7 +38,8 @@ def ws(tmp_path_factory):
     write_csv(root / "data.csv", ds.schema, ds.cat, ds.cont, label=labels)
     schema = RecordSchema(*read_schema_file(root / "schema.json"))
     dataset, _ = load_csv(root / "data.csv", schema)
-    model = ChadModel(dataset.schema, ModelConfig(encoder_sizes=(6, 4)))
+    model = ChadModel(dataset.schema, ModelConfig(encoder_sizes=(6, 4)),
+                      np.random.default_rng(0))
     save_model(root / "model.chad", model, fit_normalize(dataset))
     files = {name: str(root / name) for name in ("schema.json", "data.csv", "model.chad")}
     negatives = {"m": 2, "delta": 0.5, "dampening": 0.75}
@@ -46,8 +47,7 @@ def ws(tmp_path_factory):
     configs = {
         "train": {
             "schema": files["schema.json"], "train_data": files["data.csv"],
-            "min_count": 1, "clamp": False, "label_field": "label",
-            "secondary_noise": True, "negatives": negatives,
+            "min_count": 1, "secondary_noise": True, "negatives": negatives,
             "model": {"encoder_sizes": [6, 4], "embed_cap": 4, "cont_threshold": 32,
                       "g_dim": 4, "dropout_ae": 0.2, "dropout_est": 0.1},
             "train": {"phase_epochs": [1, 0, 1], "learning_rate": 5e-3,
@@ -137,6 +137,9 @@ MALFORMED = [
     ("train", _set("train", -1, "seed"), "seed must be >= 0"),
     ("train", _set("train", True, "min_count"), "min_count must be an integer"),
     ("train", _set("train", "cfg.json", "out_dir"), "cannot create output directory"),
+    # keys that changed nothing and were deleted
+    ("train", _set("train", False, "clamp"), "config: unknown key 'clamp'"),
+    ("train", _set("train", "label", "label_field"), "config: unknown key 'label_field'"),
     ("eval", _set("eval", "x", "anomaly_fraction"), "anomaly_fraction must be"),
     ("eval", _set("eval", [-1], "seeds"), "seeds must be a non-empty list"),
     ("negsample-dump", _set("negsample-dump", "3", "rows"), "rows must be an integer"),

@@ -9,7 +9,7 @@ from chadkit.nn import grad_check
 
 class TestLikelihood:
     def test_zero_weights_give_half(self):
-        est = Estimator(8)
+        est = Estimator(8, 0.1, np.random.default_rng(0))
         for layer in est.stack.layers:
             layer.W[...] = 0.0
             layer.b[...] = 0.0
@@ -17,19 +17,19 @@ class TestLikelihood:
         assert np.allclose(f, 0.5)
 
     def test_output_bounded_on_random_latents(self):
-        est = Estimator(16, rng=np.random.default_rng(1))
+        est = Estimator(16, 0.1, np.random.default_rng(1))
         z = np.random.default_rng(2).normal(size=(10_000, 16)) * 3
         f = est.score(z)
         assert np.all(f > 0.0) and np.all(f < 1.0)
 
     def test_architecture_is_half_width_hidden(self):
-        est = Estimator(16)
+        est = Estimator(16, 0.1, np.random.default_rng(0))
         assert [l.out_dim for l in est.stack.layers] == [8, 1]
         assert est.stack.layers[0].activation == "tanh"
         assert est.stack.layers[1].activation == "sigmoid"
 
     def test_penultimate_shape(self):
-        est = Estimator(12, rng=np.random.default_rng(3))
+        est = Estimator(12, 0.1, np.random.default_rng(3))
         h = est.penultimate(np.zeros((4, 12)))
         assert h.shape == (4, 6)
 
@@ -122,7 +122,7 @@ class TestContrastiveLoss:
 class TestEstimatorLossGradients:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)
-        est = Estimator(6, rng=rng)
+        est = Estimator(6, 0.1, rng)
         pos = rng.normal(size=(9, 6)) * 0.5
         neg = rng.normal(size=(9, 4, 6)) * 0.5
 
@@ -136,7 +136,7 @@ class TestEstimatorLossGradients:
 
     def test_latent_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
-        est = Estimator(5, rng=rng)
+        est = Estimator(5, 0.1, rng)
         pos = rng.normal(size=(3, 5)) * 0.5
         neg = rng.normal(size=(3, 2, 5)) * 0.5
         _, _, g_pos, g_neg = est.loss(pos, neg, gamma=1.0)

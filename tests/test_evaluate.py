@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from chadkit.data import Dataset
+from chadkit.data import Dataset, apply_normalize, fit_normalize, load_csv
 from chadkit.errors import MetricError, SchemaError
 from chadkit.estimator import SecondaryNoiseSpec
 from chadkit.evaluate import (average_precision, latent_projection,
@@ -151,6 +151,25 @@ class TestScoreDataset:
     def test_sorted_ascending(self, tiny_model, small_dataset):
         ranked = score_dataset(tiny_model, small_dataset).sorted_ascending()
         assert np.all(np.diff(ranked.scores) >= 0)
+
+    def test_labelled_csv_recipe_scores_only_finite_rows(self, tiny_model, small_dataset,
+                                                        tmp_path):
+        # the README's labelled evaluation: load_csv with the model's schema,
+        # normalize, score_dataset, average_precision
+        path = tmp_path / "test.csv"
+        path.write_text("color,shape,size,weight,width,height,label\n"
+                        "red,circle,0.1,0.2,0.3,0.4,0\n"
+                        "red,circle,0.1,nan,0.3,0.4,1\n"
+                        "blue,square,0.5,0.6,inf,0.8,0\n"
+                        "green,circle,-inf,0.2,0.3,0.4,1\n"
+                        "green,square,0.9,0.1,0.5,0.2,1\n")
+        test, report = load_csv(path, tiny_model.schema, label_field="label")
+        assert report.rows_dropped_nonfinite == 3 and report.rows_kept == 2
+        scored = score_dataset(tiny_model,
+                               apply_normalize(fit_normalize(small_dataset), test))
+        assert scored.scores.shape == (2,) and np.all(np.isfinite(scored.scores))
+        assert scored.labels.tolist() == [0, 1]
+        assert 0.0 < average_precision(scored.scores, scored.labels) <= 1.0
 
 
 class TestSynthAnomalies:

@@ -4,27 +4,20 @@ import numpy as np
 import pytest
 
 from chadkit.errors import SchemaError, TrainingDiverged
-from chadkit.nn import (Adam, DenseLayer, DenseStack, dropout_mask, glorot_uniform,
+from chadkit.nn import (ADAM_EPS, Adam, DenseLayer, DenseStack, dropout_mask, glorot_uniform,
                         grad_check, merge_grads, mse_loss, mse_loss_backward)
 
 
 class TestDenseLayer:
-    def test_identity_with_unit_weights(self):
-        layer = DenseLayer(2, 2, "identity")
-        layer.W = np.eye(2)
-        layer.b = np.zeros(2)
-        out, _ = layer.forward(np.array([[1.0, 2.0]]))
-        assert np.array_equal(out, [[1.0, 2.0]])
-
     def test_sigmoid_of_zero_is_half(self):
-        layer = DenseLayer(3, 4, "sigmoid")
+        layer = DenseLayer(3, 4, "sigmoid", np.random.default_rng(0))
         layer.W = np.zeros((4, 3))
         layer.b = np.zeros(4)
         out, _ = layer.forward(np.array([[0.3, -2.0, 5.0]]))
         assert np.allclose(out, 0.5)
 
     def test_tanh_matches_scalar_oracle(self):
-        layer = DenseLayer(1, 1, "tanh")
+        layer = DenseLayer(1, 1, "tanh", np.random.default_rng(0))
         layer.W = np.array([[1.0]])
         layer.b = np.array([0.0])
         out, _ = layer.forward(np.array([[0.5]]))
@@ -43,7 +36,7 @@ class TestDenseLayer:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(7, 4))
         target = rng.normal(size=(7, 3))
-        for act in ("tanh", "sigmoid", "identity"):
+        for act in ("tanh", "sigmoid"):
             layer = DenseLayer(4, 3, act, rng)
             params = {"W": layer.W, "b": layer.b}
 
@@ -93,9 +86,9 @@ class TestAdam:
 
     def test_first_step_matches_reference_formula(self):
         # bias-corrected first step: -lr * g / (|g| + eps * sqrt(1 - beta2))
-        lr, eps, g = 1e-3, 1e-8, 1.0
+        lr, eps, g = 1e-3, ADAM_EPS, 1.0
         params = {"p": np.array([0.0])}
-        Adam(params, lr=lr, eps=eps).step({"p": np.array([g])})
+        Adam(params, lr=lr).step({"p": np.array([g])})
         m_hat = (1 - 0.9) * g / (1 - 0.9)
         v_hat = (1 - 0.999) * g * g / (1 - 0.999)
         expected = -lr * m_hat / (math.sqrt(v_hat) + eps)
@@ -117,10 +110,6 @@ class TestAdam:
         with pytest.raises(TrainingDiverged, match="'p'"):
             opt.step({"p": np.array([1.0, np.nan])})
 
-    def test_bad_betas_rejected(self):
-        with pytest.raises(ValueError):
-            Adam({"p": np.zeros(1)}, lr=0.1, beta1=1.0)
-
     def test_optimizer_requires_full_gradient_cover(self):
         opt = Adam({"a": np.zeros(2), "b": np.zeros(2)}, lr=0.1)
         with pytest.raises(ValueError):
@@ -131,7 +120,10 @@ class TestDropout:
     def test_rate_zero_and_inference_are_all_ones(self):
         rng = np.random.default_rng(0)
         assert np.all(dropout_mask(rng, (5, 5), 0.0) == 1.0)
-        assert np.all(dropout_mask(rng, (5, 5), 0.5, training=False) == 1.0)
+        # inference draws no mask at all, whatever the stack's rate
+        stack = DenseStack([3, 4, 4, 1], ["tanh", "tanh", "sigmoid"], 0.5, rng)
+        _, caches = stack.forward(np.ones((2, 3)))
+        assert [mask for _, mask in caches] == [None, None, None]
 
     def test_rescaled_expectation_matches_raw_activation(self):
         rng = np.random.default_rng(7)
@@ -173,7 +165,7 @@ class TestDenseStack:
         assert np.array_equal(out1, out2)
 
     def test_training_dropout_needs_rng(self):
-        stack = DenseStack([3, 3, 1], ["tanh", "sigmoid"], dropout=0.4)
+        stack = DenseStack([3, 3, 1], ["tanh", "sigmoid"], 0.4, np.random.default_rng(0))
         with pytest.raises(ValueError):
             stack.forward(np.zeros((2, 3)), train=True)
 
@@ -212,4 +204,4 @@ class TestDenseStack:
 
     def test_activation_count_must_match_layers(self):
         with pytest.raises(ValueError):
-            DenseStack([3, 4, 2], ["tanh"])
+            DenseStack([3, 4, 2], ["tanh"], 0.0, np.random.default_rng(0))
