@@ -126,7 +126,7 @@ class FieldTransform:
             blocks.append(cont @ self.g_weight.T)
         else:
             blocks.append(cont)
-        x_t = np.concatenate(blocks, axis=1) if blocks else cont
+        x_t = np.concatenate(blocks, axis=1)
         return x_t, (cat, cont)
 
     def backward(self, cache, grad_xt: Array) -> dict[str, Array]:

@@ -39,6 +39,12 @@ def write_csv(path, schema, cat, cont, header=None, label=None):
             writer.writerow(row)
 
 
+def read_csv(path):
+    """Every row of a CSV file, the header included."""
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
 def write_schema_json(path, schema):
     obj = {name: "categorical" for name in schema.cat_fields}
     obj.update({name: "continuous" for name in schema.cont_fields})

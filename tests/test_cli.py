@@ -12,7 +12,7 @@ import pytest
 from chadkit.cli import main
 from chadkit.synthdata import make_clustered_dataset
 
-from conftest import write_csv, write_schema_json
+from conftest import read_csv, write_csv, write_schema_json
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +163,7 @@ class TestScore:
         rc = main(["score", "--model", str(workspace / "run/model.chad"),
                    "--data", str(workspace / "train.csv"), "--out", str(out)])
         assert rc == 0
-        rows = list(csv.reader(open(out)))
+        rows = read_csv(out)
         assert rows[0] == ["record_id", "score"]
         scores = [float(r[1]) for r in rows[1:]]
         assert len(scores) == 200
@@ -189,7 +189,7 @@ class TestScore:
         rc = main(["score", "--model", str(workspace / "run/model.chad"),
                    "--data", str(data), "--out", str(out)])
         assert rc == 0
-        rows = list(csv.reader(open(out)))
+        rows = read_csv(out)
         assert len(rows) - 1 == 5
         report = json.loads(out.with_suffix(".csv.report.json").read_text())
         assert report["rows_dropped_unseen"] == 1
@@ -205,7 +205,7 @@ class TestScore:
         rc = main(["score", "--model", str(workspace / "run/model.chad"),
                    "--data", str(data), "--out", str(out)])
         assert rc == 0
-        rows = list(csv.reader(open(out)))[1:]
+        rows = read_csv(out)[1:]
         assert sorted(int(r[0]) for r in rows) == list(range(6))
         assert all(math.isfinite(float(r[1])) for r in rows)
         report = json.loads(out.with_suffix(".csv.report.json").read_text())
@@ -277,7 +277,7 @@ class TestEval:
         assert [r["percent"] for r in report["vary_anomaly"]] == [5, 10]
         assert report["load_report"]["rows_read"] == 200
         assert report["load_report"]["rows_kept"] == 200
-        rows = list(csv.reader(open(tmp_path / "eval/vary_anomaly.csv")))
+        rows = read_csv(tmp_path / "eval/vary_anomaly.csv")
         assert rows[0] == ["percent", "ap_mean", "ap_sd", "runs"]
         assert len(rows) == 3
 
@@ -315,12 +315,12 @@ class TestBenchConcept:
                   "seeds": [0], "out_dir": str(tmp_path / "bench")}
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         assert main(["bench-concept", "--config", str(tmp_path / "cfg.json")]) == 0
-        rows = list(csv.reader(open(tmp_path / "bench/concept_bench.csv")))
+        rows = read_csv(tmp_path / "bench/concept_bench.csv")
         assert rows[0] == ["method", "seed", "ap"]
         assert len(rows) == 5
         summary = json.loads((tmp_path / "bench/concept_summary.json").read_text())
         assert len(summary["summary"]) == 4
-        data_rows = list(csv.reader(open(tmp_path / "bench/concept_data.csv")))
+        data_rows = read_csv(tmp_path / "bench/concept_data.csv")
         assert data_rows[0] == ["x", "y", "label"]
         assert len(data_rows) == 1 + 2 * 80 + 2 * 8
 
@@ -331,7 +331,7 @@ class TestVizLatent:
                    "--data", str(workspace / "train.csv"),
                    "--out", str(tmp_path / "viz")])
         assert rc == 0
-        rows = list(csv.reader(open(tmp_path / "viz/projection_latent.csv")))
+        rows = read_csv(tmp_path / "viz/projection_latent.csv")
         assert rows[0] == ["x", "y", "label"]
         assert len(rows) == 201
 
@@ -355,7 +355,7 @@ class TestVizLatent:
                   "out_dir": str(tmp_path / "viz3")}
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         assert main(["viz-latent", "--config", str(tmp_path / "cfg.json")]) == 0
-        rows = list(csv.reader(open(tmp_path / "viz3/projection_latent.csv")))
+        rows = read_csv(tmp_path / "viz3/projection_latent.csv")
         assert [r[2] for r in rows[1:]] == ["0", "1"] * 4
 
 
@@ -367,7 +367,7 @@ class TestNegsampleDump:
                   "out_dir": str(tmp_path / "dump")}
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         assert main(["negsample-dump", "--config", str(tmp_path / "cfg.json")]) == 0
-        rows = list(csv.reader(open(tmp_path / "dump/negatives.csv")))
+        rows = read_csv(tmp_path / "dump/negatives.csv")
         assert len(rows) == 16  # header + 3 * 5
         header = rows[0]
         assert header[:2] == ["source_id", "sample"]
@@ -379,7 +379,7 @@ class TestNegsampleDump:
                   "out_dir": str(tmp_path / "dump2")}
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         assert main(["negsample-dump", "--config", str(tmp_path / "cfg.json")]) == 0
-        rows = list(csv.reader(open(tmp_path / "dump2/negatives.csv")))
+        rows = read_csv(tmp_path / "dump2/negatives.csv")
         for row in rows[1:]:
             assert row[2].startswith("v0_") and row[3].startswith("v1_")
 

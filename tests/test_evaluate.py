@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -12,6 +10,8 @@ from chadkit.evaluate import (average_precision, latent_projection,
                               write_projection_csv)
 from chadkit.model import ChadModel, ModelConfig
 from chadkit.negsampler import NegSamplerConfig
+
+from conftest import read_csv
 
 
 def brute_force_ap(scores, labels, anomaly_is_low_score=True):
@@ -286,7 +286,7 @@ class TestLatentProjection:
         pts = np.array([[1.0, 2.0], [3.0, 4.0]])
         path = tmp_path / "p.csv"
         write_projection_csv(path, pts, labels=[0, 1])
-        rows = list(csv.reader(open(path)))
+        rows = read_csv(path)
         assert rows[0] == ["x", "y", "label"]
         assert rows[1] == ["1", "2", "0"]
         assert len(rows) == 3

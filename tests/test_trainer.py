@@ -1,8 +1,16 @@
+import ctypes
 import math
+import os
+import platform
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from chadkit import trainer
 from chadkit.data import batch_iter
 from chadkit.errors import TrainingDiverged
 from chadkit.model import ChadModel, ModelConfig
@@ -317,3 +325,70 @@ class TestDivergence:
         with pytest.raises(TrainingDiverged, match="phase 1"):
             run_phase1(model, toy_data,
                        TrainSchedule(phase_epochs=(1, 0, 0), **SCHED))
+
+
+# Phase 2 of a desk-shaped training in a fresh process, where glibc's dynamic
+# thresholds start low; prints the minor faults between the phase-1 and
+# phase-2 checkpoints.
+PHASE2_FAULT_PROBE = """
+import resource
+import numpy as np
+from chadkit.model import ChadModel, ModelConfig
+from chadkit.negsampler import NegSamplerConfig
+from chadkit.synthdata import make_clustered_dataset
+from chadkit.trainer import TrainSchedule, train
+
+ds = make_clustered_dataset(6000, arities=(10, 20, 35, 50), n_cont=6)
+model = ChadModel(ds.schema, ModelConfig(), np.random.default_rng(1))
+faults = []
+train(model, ds, TrainSchedule(phase_epochs=(1, 2, 0), seed=1), NegSamplerConfig(m=10),
+      checkpoint_fn=lambda phase, _model: faults.append(
+          resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+print(faults[1] - faults[0])
+"""
+
+
+class TestHeapThresholds:
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or platform.libc_ver()[0] != "glibc",
+                        reason="the thresholds are glibc's; other C libraries keep their own policy")
+    def test_phase2_does_not_fault_its_temporaries_back_in(self):
+        # a fresh process: earlier tests in this one have already raised
+        # glibc's dynamic thresholds
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-c", PHASE2_FAULT_PROBE], capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                             check=True, timeout=300)
+        assert int(out.stdout) < 20_000
+
+    def test_sets_both_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(sys, "platform", "linux")
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        trainer._keep_freed_heap()
+        assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+        assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+        assert mallopt.restype is ctypes.c_int
+
+    @pytest.mark.parametrize("case", ["not_linux", "no_c_library", "no_mallopt"])
+    def test_no_op_where_mallopt_is_missing(self, case, monkeypatch, toy_data):
+        def cdll(name):
+            if case == "not_linux":
+                raise AssertionError("the C library is loaded off Linux")
+            if case == "no_c_library":
+                raise OSError("no C library")
+            return types.SimpleNamespace()
+
+        monkeypatch.setattr(sys, "platform", "darwin" if case == "not_linux" else "linux")
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        trainer._keep_freed_heap()
+        model = build_model(toy_data)
+        log = TrainLog()
+        train(model, toy_data, TrainSchedule(phase_epochs=(1, 1, 1), **SCHED),
+              NegSamplerConfig(m=2), log=log)
+        assert {e["phase"] for e in log.entries} == {1, 2, 3}
