@@ -8,9 +8,9 @@ is similar to real data yet reliably off its manifold.
 """
 import numpy as np
 
-from chadkit.data import Record, RecordSchema
+from chadkit.data import RecordSchema
 from chadkit.negsampler import (NegSamplerConfig, category_probs,
-                                generate_negatives, perturb_continuous)
+                                generate_negatives_batch, perturb_continuous)
 
 arities = (100, 10, 50)
 print("== field-selection probabilities ==")
@@ -35,11 +35,13 @@ print("\n== whole-record negatives ==")
 vocabs = [{f"v{i}": i for i in range(a)} for a in arities]
 schema = RecordSchema(["carrier", "origin", "route"],
                       [f"num_{j}" for j in range(8)], vocabs)
-record = Record(np.array([7, 3, 21]), np.round(np.linspace(0.2, 0.8, 8), 2))
-print(f"source record: cat={record.cat.tolist()} cont={record.cont.tolist()}")
-for i, neg in enumerate(generate_negatives(record, NegSamplerConfig(m=5),
-                                           schema, np.random.default_rng(3))):
-    swapped = [w for w in range(3) if neg.cat[w] != record.cat[w]]
-    moved = [j for j in range(8) if not np.isclose(neg.cont[j], record.cont[j])]
+cat, cont = np.array([7, 3, 21]), np.round(np.linspace(0.2, 0.8, 8), 2)
+print(f"source record: cat={cat.tolist()} cont={cont.tolist()}")
+neg_cat, neg_cont = generate_negatives_batch(cat[None, :], cont[None, :],
+                                             NegSamplerConfig(m=5), schema,
+                                             np.random.default_rng(3))
+for i in range(len(neg_cat)):
+    swapped = [w for w in range(3) if neg_cat[i, w] != cat[w]]
+    moved = [j for j in range(8) if not np.isclose(neg_cont[i, j], cont[j])]
     print(f"negative {i}: swapped cat fields {swapped}, moved cont fields {moved}, "
-          f"cat={neg.cat.tolist()}")
+          f"cat={neg_cat[i].tolist()}")

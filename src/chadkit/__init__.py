@@ -11,7 +11,6 @@ from .data import (
     Dataset,
     LoadReport,
     NormalizationStats,
-    Record,
     RecordSchema,
     apply_normalize,
     batch_iter,
@@ -43,8 +42,6 @@ from .model import ChadModel, ModelConfig
 from .negsampler import (
     NegSamplerConfig,
     category_probs,
-    generate_negatives,
-    perturb_categoricals,
     perturb_continuous,
 )
 from .persist import load_model, save_model
@@ -54,7 +51,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Autoencoder", "FieldTransform", "FieldTransformSpec",
-    "Dataset", "LoadReport", "NormalizationStats", "Record", "RecordSchema",
+    "Dataset", "LoadReport", "NormalizationStats", "RecordSchema",
     "apply_normalize", "batch_iter", "filter_rare_entities", "fit_normalize",
     "load_csv",
     "ChadkitError", "ConfigError", "DataError", "MetricError", "SchemaError",
@@ -64,8 +61,7 @@ __all__ = [
     "noise_ablation", "precision_recall_curve", "score_dataset",
     "synth_anomalies", "vary_anomaly_harness",
     "ChadModel", "ModelConfig",
-    "NegSamplerConfig", "category_probs", "generate_negatives",
-    "perturb_categoricals", "perturb_continuous",
+    "NegSamplerConfig", "category_probs", "perturb_continuous",
     "load_model", "save_model",
     "TrainLog", "TrainSchedule", "run_phase1", "run_phase2", "run_phase3", "train",
 ]

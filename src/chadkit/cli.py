@@ -56,7 +56,7 @@ MAX_PARAMETERS = 2**27
 # is the table of a nested JSON object, a one-item list the table of every
 # object in a JSON list; a kind ending in "!" marks a required key. A "file"
 # is a path string naming an existing file.
-_NEGATIVES = {"m": "int", "delta": "number", "dampening": "number"}
+_NEGATIVES = {"m": "int", "delta": "number"}
 _RUN = {"seed": "int", "out_dir": "str"}
 CONFIG_TABLES = {
     "train": {

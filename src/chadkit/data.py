@@ -105,16 +105,6 @@ class RecordSchema:
 
 
 @dataclass
-class Record:
-    """A single row view: categorical indices, continuous values, optional label."""
-
-    cat: Array
-    cont: Array
-    label: int | None = None
-    record_id: int = 0
-
-
-@dataclass
 class Dataset:
     schema: RecordSchema
     cat: Array                 # (n, k) int64

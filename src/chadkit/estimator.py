@@ -35,8 +35,8 @@ class SecondaryNoiseSpec:
 def contrastive_loss_terms(f_pos: Array, f_neg: Array, gamma: float):
     """Per-record contrastive loss and its gradients w.r.t. the scores.
 
-    ``f_pos`` has shape (B,), ``f_neg`` shape (B, K): K negative scores per
-    record. Each record contributes
+    ``f_pos`` is a float array of shape (B,), ``f_neg`` one of shape (B, K)
+    with K >= 1: K negative scores per record. Each record contributes
 
         -gamma * ln(f_pos) - ln(1 - mean_k f_neg)
 
@@ -44,14 +44,7 @@ def contrastive_loss_terms(f_pos: Array, f_neg: Array, gamma: float):
     below at ``LOG_CLAMP`` to keep the loss finite near the boundary; clamped
     coordinates get zero gradient.
     """
-    f_pos = np.asarray(f_pos, dtype=float).reshape(-1)
-    f_neg = np.asarray(f_neg, dtype=float)
-    if f_neg.ndim != 2 or f_neg.shape[0] != f_pos.shape[0]:
-        raise ValueError("f_neg must be (batch, K) matching f_pos")
     b, k = f_neg.shape
-    if k < 1:
-        raise ValueError("need at least one negative per record")
-
     pos_arg = np.maximum(f_pos, LOG_CLAMP)
     neg_mean = f_neg.mean(axis=1)
     neg_arg = np.maximum(1.0 - neg_mean, LOG_CLAMP)
@@ -95,8 +88,6 @@ class Estimator:
         Returns (loss, param_grads, grad_pos_latents, grad_neg_latents) so a
         caller can keep pushing the gradient into the encoder.
         """
-        pos_latents = np.asarray(pos_latents, dtype=float)
-        neg_latents = np.asarray(neg_latents, dtype=float)
         b, k, p = neg_latents.shape
         f_pos, pos_caches = self.likelihood(pos_latents, train, rng)
         f_neg_flat, neg_caches = self.likelihood(neg_latents.reshape(b * k, p), train, rng)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -233,7 +233,7 @@ def noise_ablation(train_set: Dataset, test_set: Dataset, schedule: TrainSchedul
     for seed in seeds:
         row = {"seed": seed}
         for enabled in (True, False):
-            sched = TrainSchedule(**{**schedule.to_json(), "seed": seed})
+            sched = replace(schedule, seed=seed)
             streams = named_streams(seed)
             model = ChadModel(train_set.schema, model_config, streams["init"])
             train(model, train_set, sched, neg_config, SecondaryNoiseSpec(enabled))

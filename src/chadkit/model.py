@@ -148,15 +148,13 @@ class ChadModel:
                        train: bool = False, rng: np.random.Generator | None = None):
         """Contrastive loss over a batch and its negatives.
 
-        ``neg_cat``/``neg_cont`` hold K negatives per record, flattened
+        ``neg_cat``/``neg_cont`` hold K >= 1 negatives per record, flattened
         row-major; ``noise`` is an optional precomputed (B*K, p) latent
         offset. The gradient continues through the encoder and field
         transforms on both the positive and negative paths. Like the other
         losses, it takes in-range 2-D batches and does not check them.
         """
         b, s = cat.shape[0], neg_cat.shape[0]
-        if b == 0 or s % max(b, 1) != 0:
-            raise ValueError("negative count must be a positive multiple of the batch size")
         k = s // b
         p = self.latent_dim
 

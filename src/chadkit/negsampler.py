@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Record, RecordSchema, as_batch
+from .data import RecordSchema, as_batch
 from .errors import ConfigError, SchemaError
 
 Array = np.ndarray
@@ -31,7 +31,6 @@ DAMPENING = 0.75
 class NegSamplerConfig:
     m: int = 10
     delta: float = 0.5
-    dampening: float = DAMPENING
 
     def __post_init__(self):
         if self.m < 1:
@@ -40,8 +39,8 @@ class NegSamplerConfig:
             raise ConfigError(f"noise deviation must be > 0, got {self.delta}")
 
 
-def category_probs(arities, dampening: float = DAMPENING) -> Array:
-    """Field-selection probabilities: normalized (a_w / sum a)^dampening.
+def category_probs(arities) -> Array:
+    """Field-selection probabilities: normalized (a_w / sum a)^DAMPENING.
 
     The exponent flattens the distribution so perturbation is not dominated
     by the highest-arity fields.
@@ -51,49 +50,32 @@ def category_probs(arities, dampening: float = DAMPENING) -> Array:
         raise SchemaError("no categorical fields to build selection probabilities for")
     if np.any(arities < 1):
         raise SchemaError("arities must be >= 1")
-    q = (arities / arities.sum()) ** dampening
+    q = (arities / arities.sum()) ** DAMPENING
     return q / q.sum()
 
 
 def check_sampler_schema(schema: RecordSchema):
-    """A sampler needs something to perturb: categorical fields, or at least
-    four continuous ones (below that the floor(r/4) selection is empty)."""
-    if schema.k == 0 and schema.r < 4:
+    """A sampler needs something to perturb: a categorical field with at least
+    two values, or at least four continuous fields (below that the floor(r/4)
+    selection is empty)."""
+    if max(schema.arities, default=0) < 2 and schema.r < 4:
         raise ConfigError(
-            "negative sampling needs at least one categorical field or at "
-            f"least 4 continuous fields (schema has k={schema.k}, r={schema.r})")
+            "negative sampling needs a categorical field with at least 2 values or "
+            f"at least 4 continuous fields (categorical arities {list(schema.arities)}, "
+            f"r={schema.r})")
 
 
-def max_cat_perturb(k: int) -> int:
-    """Upper bound of the per-sample categorical perturbation count."""
-    return max(1, k // 2)
-
-
-def perturb_categoricals(cat: Array, count: int, probs: Array, arities,
-                         rng: np.random.Generator) -> Array:
-    """Replace ``count`` distinct categorical values of one record.
+def _perturb_cat_batch(cat: Array, counts: Array, probs: Array, arities: Array,
+                       rng: np.random.Generator):
+    """Vectorized categorical pass for S rows; returns (new_cat, selection mask).
 
     Fields are drawn without replacement proportionally to ``probs``;
     arity-1 fields are skipped (there is no different value to swap in).
     Replacement values are uniform over the field's vocabulary excluding
     the original value.
     """
-    cat = np.asarray(cat, dtype=np.int64)
-    k = cat.shape[0]
-    if not (1 <= count <= max_cat_perturb(k)):
-        raise ValueError(f"count must be in [1, {max_cat_perturb(k)}], got {count}")
-    new_cat, _ = _perturb_cat_batch(cat[None, :], np.array([count]), probs,
-                                    np.asarray(arities), rng)
-    return new_cat[0]
-
-
-def _perturb_cat_batch(cat: Array, counts: Array, probs: Array, arities: Array,
-                       rng: np.random.Generator):
-    """Vectorized categorical pass for S rows; returns (new_cat, selection mask)."""
     s, k = cat.shape
     eligible = arities >= 2
-    if not eligible.any():
-        raise ConfigError("every categorical field has arity 1; nothing to perturb")
     counts = np.minimum(counts, int(eligible.sum()))
 
     # weighted sampling without replacement via exponential race: the fields
@@ -147,7 +129,8 @@ def generate_negatives_batch(cat: Array, cont: Array, config: NegSamplerConfig,
     """m negatives for each of n records; returns ((n*m, k), (n*m, r)).
 
     The per-sample categorical count is drawn uniformly from
-    {1, ..., max(1, floor(k/2))}, fresh for every negative.
+    {1, ..., max(1, floor(k/2))}, fresh for every negative; the categorical
+    pass runs only when some field has at least two values.
     """
     check_sampler_schema(schema)
     cat, cont = as_batch(schema, cat, cont)
@@ -156,21 +139,13 @@ def generate_negatives_batch(cat: Array, cont: Array, config: NegSamplerConfig,
     rep_cat = np.repeat(cat, config.m, axis=0)
     rep_cont = np.repeat(cont, config.m, axis=0)
 
-    if schema.k > 0:
+    if max(schema.arities, default=0) >= 2:
         arities = np.asarray(schema.arities)
-        probs = category_probs(arities, config.dampening)
-        counts = rng.integers(1, max_cat_perturb(schema.k) + 1, size=s)
-        neg_cat, _ = _perturb_cat_batch(rep_cat, counts, probs, arities, rng)
+        counts = rng.integers(1, max(1, schema.k // 2) + 1, size=s)
+        neg_cat, _ = _perturb_cat_batch(rep_cat, counts, category_probs(arities),
+                                        arities, rng)
     else:
         neg_cat = rep_cat
     neg_cont, _, _ = _perturb_cont_batch(rep_cont, config.delta, rng)
     return neg_cat, neg_cont
 
-
-def generate_negatives(record: Record, config: NegSamplerConfig,
-                       schema: RecordSchema, rng: np.random.Generator) -> list[Record]:
-    """m independent negatives for one record; each differs from the source."""
-    neg_cat, neg_cont = generate_negatives_batch(
-        record.cat[None, :], record.cont[None, :], config, schema, rng)
-    return [Record(neg_cat[i], neg_cont[i], label=1, record_id=record.record_id)
-            for i in range(config.m)]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from .errors import SchemaError, TrainingDiverged
+from .errors import TrainingDiverged
 
 Array = np.ndarray
 
@@ -122,21 +122,13 @@ class DenseStack:
 
 
 def mse_loss(x: Array, x_hat: Array) -> float:
-    """Mean squared error over every element of the batch."""
-    x = np.asarray(x, dtype=float)
-    x_hat = np.asarray(x_hat, dtype=float)
-    if x.shape != x_hat.shape:
-        raise SchemaError(f"shape mismatch in mse_loss: {x.shape} vs {x_hat.shape}")
+    """Mean squared error over every element of two same-shaped float arrays."""
     diff = x - x_hat
     return float(np.mean(diff * diff))
 
 
 def mse_loss_backward(x: Array, x_hat: Array):
     """Gradients of mse_loss with respect to (x, x_hat)."""
-    x = np.asarray(x, dtype=float)
-    x_hat = np.asarray(x_hat, dtype=float)
-    if x.shape != x_hat.shape:
-        raise SchemaError(f"shape mismatch in mse_loss: {x.shape} vs {x_hat.shape}")
     g = 2.0 * (x - x_hat) / x.size
     return g, -g
 

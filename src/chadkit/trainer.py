@@ -22,7 +22,7 @@ from .data import Dataset, batch_iter
 from .errors import TrainingDiverged
 from .estimator import SecondaryNoiseSpec
 from .model import ChadModel
-from .negsampler import NegSamplerConfig, generate_negatives_batch
+from .negsampler import NegSamplerConfig, check_sampler_schema, generate_negatives_batch
 from .nn import Adam
 from .seeds import child_seed, named_streams
 
@@ -70,21 +70,6 @@ class TrainSchedule:
         frac = epoch / (e3 - 1)
         return self.gamma_start + (self.gamma_max - self.gamma_start) * frac
 
-    def to_json(self) -> dict:
-        return {
-            "phase_epochs": list(self.phase_epochs),
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "gamma_start": self.gamma_start,
-            "gamma_max": self.gamma_max,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TrainSchedule":
-        return cls(tuple(obj["phase_epochs"]), obj["learning_rate"], obj["batch_size"],
-                   obj["gamma_start"], obj["gamma_max"], obj["seed"])
-
 
 def gates_for(phase: int, batch_index: int) -> tuple[int, int]:
     """Indicator pair (reconstruction, estimator) for a batch of a phase."""
@@ -112,71 +97,6 @@ class TrainLog:
                 f.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
-class _PhaseRunner:
-    """Shared batch loop for the three phases."""
-
-    def __init__(self, model: ChadModel, data: Dataset, schedule: TrainSchedule,
-                 neg_config: NegSamplerConfig | None, noise_spec: SecondaryNoiseSpec,
-                 streams, log: TrainLog | None):
-        self.model = model
-        self.data = data
-        self.schedule = schedule
-        self.neg_config = neg_config
-        self.noise_spec = noise_spec
-        self.streams = streams
-        self.log = log if log is not None else TrainLog()
-
-    def run(self, phase: int, opt_ae: Adam | None, opt_est: Adam | None):
-        sched = self.schedule
-        epochs = sched.phase_epochs[phase - 1]
-        if phase == 3 and epochs:
-            # nothing feeding the latents trains, so fold the encoder and
-            # encode every record once for the whole phase
-            encoder = FoldedEncoder(self.model.autoencoder)
-            latents = encoder.encode(self.data.cat, self.data.cont)
-        for epoch in range(epochs):
-            lam = sched.lambda_for(phase, epoch)
-            gamma = sched.gamma_for(phase, epoch)
-            epoch_seed = child_seed(self.streams["shuffle"])
-            for b_idx, idx in enumerate(batch_iter(self.data.n, sched.batch_size,
-                                                   epoch_seed)):
-                gates = gates_for(phase, b_idx)
-                cat, cont = self.data.cat[idx], self.data.cont[idx]
-                neg_cat = neg_cont = noise = None
-                if gates[1]:
-                    neg_cat, neg_cont = generate_negatives_batch(
-                        cat, cont, self.neg_config, self.data.schema,
-                        self.streams["negsampler"])
-                    noise = self.noise_spec.draw(self.streams["noise"], neg_cat.shape[0],
-                                                 self.model.latent_dim)
-                if phase == 3:
-                    neg_latents = encoder.encode(neg_cat, neg_cont)
-                    if noise is not None:
-                        neg_latents += noise
-                    # the latents take no gradient, so their gradients are dropped
-                    total, est_grads, _, _ = self.model.estimator.loss(
-                        latents[idx], neg_latents.reshape(len(idx), -1, self.model.latent_dim),
-                        gamma, train=True, rng=self.streams["dropout"])
-                    grads = {f"est.{k}": g for k, g in est_grads.items()}
-                    l_r, l_est = None, total
-                else:
-                    total, grads, l_r, l_est = self.model.loss_joint(
-                        cat, cont, neg_cat, neg_cont, noise, gates, lam, gamma,
-                        train=True, rng=self.streams["dropout"])
-                if not np.isfinite(total):
-                    raise TrainingDiverged(
-                        f"non-finite loss {total} at phase {phase}, epoch {epoch}, "
-                        f"batch {b_idx}")
-                if gates[0] and opt_ae is not None:
-                    opt_ae.step({k: g for k, g in grads.items() if k.startswith("ae.")})
-                if gates[1] and opt_est is not None:
-                    opt_est.step({k: g for k, g in grads.items() if k.startswith("est.")})
-                self.log.add(phase=phase, epoch=epoch, batch=b_idx,
-                             gates=list(gates), **{"lambda": lam}, gamma=gamma,
-                             loss_recon=l_r, loss_est=l_est)
-        return self.model
-
-
 def _keep_freed_heap():
     """Fix glibc's mmap and trim thresholds so freed batch temporaries stay mapped.
 
@@ -199,38 +119,81 @@ def _keep_freed_heap():
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
-def _runner(model, data, schedule, neg_config, noise_spec, streams, log):
+def _run_phase(phase: int, model: ChadModel, data: Dataset, schedule: TrainSchedule,
+               neg_config: NegSamplerConfig | None, noise_spec: SecondaryNoiseSpec | None,
+               log: TrainLog | None, streams) -> ChadModel:
+    """The batch loop of one phase, with the optimizers that phase steps."""
     _keep_freed_heap()
     if streams is None:
         streams = named_streams(schedule.seed)
-    return _PhaseRunner(model, data, schedule, neg_config, noise_spec, streams, log)
+    if log is None:
+        log = TrainLog()
+    opt_ae = Adam(model.autoencoder_params(), schedule.learning_rate) if phase < 3 else None
+    opt_est = Adam(model.estimator_params(), schedule.learning_rate) if phase > 1 else None
+    epochs = schedule.phase_epochs[phase - 1]
+    if phase == 3 and epochs:
+        # nothing feeding the latents trains, so fold the encoder and
+        # encode every record once for the whole phase
+        encoder = FoldedEncoder(model.autoencoder)
+        latents = encoder.encode(data.cat, data.cont)
+    for epoch in range(epochs):
+        lam = schedule.lambda_for(phase, epoch)
+        gamma = schedule.gamma_for(phase, epoch)
+        epoch_seed = child_seed(streams["shuffle"])
+        for b_idx, idx in enumerate(batch_iter(data.n, schedule.batch_size, epoch_seed)):
+            gates = gates_for(phase, b_idx)
+            cat, cont = data.cat[idx], data.cont[idx]
+            neg_cat = neg_cont = noise = None
+            if gates[1]:
+                neg_cat, neg_cont = generate_negatives_batch(
+                    cat, cont, neg_config, data.schema, streams["negsampler"])
+                noise = noise_spec.draw(streams["noise"], neg_cat.shape[0], model.latent_dim)
+            if phase == 3:
+                neg_latents = encoder.encode(neg_cat, neg_cont)
+                if noise is not None:
+                    neg_latents += noise
+                # the latents take no gradient, so their gradients are dropped
+                total, est_grads, _, _ = model.estimator.loss(
+                    latents[idx], neg_latents.reshape(len(idx), -1, model.latent_dim),
+                    gamma, train=True, rng=streams["dropout"])
+                grads = {f"est.{k}": g for k, g in est_grads.items()}
+                l_r, l_est = None, total
+            else:
+                total, grads, l_r, l_est = model.loss_joint(
+                    cat, cont, neg_cat, neg_cont, noise, gates, lam, gamma,
+                    train=True, rng=streams["dropout"])
+            if not np.isfinite(total):
+                raise TrainingDiverged(
+                    f"non-finite loss {total} at phase {phase}, epoch {epoch}, "
+                    f"batch {b_idx}")
+            if gates[0]:
+                opt_ae.step({k: g for k, g in grads.items() if k.startswith("ae.")})
+            if gates[1]:
+                opt_est.step({k: g for k, g in grads.items() if k.startswith("est.")})
+            log.add(phase=phase, epoch=epoch, batch=b_idx,
+                    gates=list(gates), **{"lambda": lam}, gamma=gamma,
+                    loss_recon=l_r, loss_est=l_est)
+    return model
 
 
 def run_phase1(model: ChadModel, data: Dataset, schedule: TrainSchedule,
                log: TrainLog | None = None, streams=None) -> ChadModel:
     """Burn-in: reconstruction only; estimator parameters stay untouched."""
-    runner = _runner(model, data, schedule, None, SecondaryNoiseSpec(False), streams, log)
-    opt_ae = Adam(model.autoencoder_params(), schedule.learning_rate)
-    return runner.run(1, opt_ae, None)
+    return _run_phase(1, model, data, schedule, None, None, log, streams)
 
 
 def run_phase2(model: ChadModel, data: Dataset, schedule: TrainSchedule,
                neg_config: NegSamplerConfig, noise_spec: SecondaryNoiseSpec = NOISE_ON,
                log: TrainLog | None = None, streams=None) -> ChadModel:
     """Joint training with the contrastive term on alternate batches."""
-    runner = _runner(model, data, schedule, neg_config, noise_spec, streams, log)
-    opt_ae = Adam(model.autoencoder_params(), schedule.learning_rate)
-    opt_est = Adam(model.estimator_params(), schedule.learning_rate)
-    return runner.run(2, opt_ae, opt_est)
+    return _run_phase(2, model, data, schedule, neg_config, noise_spec, log, streams)
 
 
 def run_phase3(model: ChadModel, data: Dataset, schedule: TrainSchedule,
                neg_config: NegSamplerConfig, noise_spec: SecondaryNoiseSpec = NOISE_ON,
                log: TrainLog | None = None, streams=None) -> ChadModel:
     """Estimator fine-tuning; everything feeding the latent space is frozen."""
-    runner = _runner(model, data, schedule, neg_config, noise_spec, streams, log)
-    opt_est = Adam(model.estimator_params(), schedule.learning_rate)
-    return runner.run(3, None, opt_est)
+    return _run_phase(3, model, data, schedule, neg_config, noise_spec, log, streams)
 
 
 def train(model: ChadModel, data: Dataset, schedule: TrainSchedule,
@@ -239,6 +202,9 @@ def train(model: ChadModel, data: Dataset, schedule: TrainSchedule,
     """All three phases in sequence over a single set of named streams.
 
     ``checkpoint_fn(phase, model)`` is called after each phase when given.
+    The schema is checked against the negative sampler's rule
+    (``check_sampler_schema``) before phase 1, so a schema with nothing to
+    perturb raises ``ConfigError`` before any training or checkpoint.
 
     On Linux with glibc, each phase first fixes the process's mmap threshold
     at 32 MiB and its trim threshold at 64 MiB (``mallopt``), so phase 2's
@@ -246,6 +212,7 @@ def train(model: ChadModel, data: Dataset, schedule: TrainSchedule,
     faulted in again. Up to 64 MiB of freed heap then stays with the process;
     no arithmetic changes.
     """
+    check_sampler_schema(data.schema)
     if log is None:
         log = TrainLog()
     streams = named_streams(schedule.seed)

@@ -137,6 +137,18 @@ class TestTrain:
         resolved = json.loads((tmp_path / "seeded/resolved_config.json").read_text())
         assert resolved["seed"] == 99
 
+    def test_nothing_to_perturb_exits_2_before_phase_1(self, tmp_path, capsys):
+        ds = make_clustered_dataset(200, arities=(1, 1), n_cont=3, n_clusters=3, seed=3)
+        write_schema_json(tmp_path / "schema.json", ds.schema)
+        write_csv(tmp_path / "train.csv", ds.schema, ds.cat, ds.cont)
+        config = {"schema": str(tmp_path / "schema.json"),
+                  "train_data": str(tmp_path / "train.csv"), "min_count": 1,
+                  "train": {"phase_epochs": [30, 5, 5]}, "out_dir": str(tmp_path / "run")}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert "categorical arities [1, 1], r=3" in capsys.readouterr().err
+        assert not (tmp_path / "run/checkpoint_phase1.chad").exists()
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_nonfinite_training_cell_exits_2(self, workspace, tmp_path, capsys, cell):
         src = (workspace / "train.csv").read_text().splitlines()

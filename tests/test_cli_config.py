@@ -42,7 +42,7 @@ def ws(tmp_path_factory):
                       np.random.default_rng(0))
     save_model(root / "model.chad", model, fit_normalize(dataset))
     files = {name: str(root / name) for name in ("schema.json", "data.csv", "model.chad")}
-    negatives = {"m": 2, "delta": 0.5, "dampening": 0.75}
+    negatives = {"m": 2, "delta": 0.5}
     run = {"seed": 3, "out_dir": str(root / "out")}
     configs = {
         "train": {
@@ -140,6 +140,8 @@ MALFORMED = [
     # keys that changed nothing and were deleted
     ("train", _set("train", False, "clamp"), "config: unknown key 'clamp'"),
     ("train", _set("train", "label", "label_field"), "config: unknown key 'label_field'"),
+    ("train", _set("train", 0.75, "negatives", "dampening"),
+     "negatives: unknown key 'dampening'"),
     ("eval", _set("eval", "x", "anomaly_fraction"), "anomaly_fraction must be"),
     ("eval", _set("eval", [-1], "seeds"), "seeds must be a non-empty list"),
     ("negsample-dump", _set("negsample-dump", "3", "rows"), "rows must be an integer"),

@@ -4,18 +4,26 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from chadkit.data import Record, RecordSchema
+from chadkit.data import RecordSchema
 from chadkit.errors import ConfigError, SchemaError
 from chadkit.negsampler import (NegSamplerConfig, category_probs,
-                                check_sampler_schema, generate_negatives,
-                                generate_negatives_batch, max_cat_perturb,
-                                perturb_categoricals, perturb_continuous)
+                                check_sampler_schema, generate_negatives_batch,
+                                perturb_continuous)
 
 
 def schema_with(arities, r):
     vocabs = [{f"v{i}": i for i in range(a)} for a in arities]
     return RecordSchema([f"c{w}" for w in range(len(arities))],
                         [f"x{j}" for j in range(r)], vocabs)
+
+
+def categorical_negatives(arities, cat, m=1, seed=0):
+    """Negatives of the rows ``cat`` under a schema of only categorical fields."""
+    cat = np.asarray(cat, dtype=np.int64)
+    neg_cat, _ = generate_negatives_batch(cat, np.zeros((len(cat), 0)),
+                                          NegSamplerConfig(m=m), schema_with(arities, 0),
+                                          np.random.default_rng(seed))
+    return neg_cat
 
 
 class TestCategoryProbs:
@@ -49,47 +57,42 @@ class TestCategoryProbs:
 
 class TestPerturbCategoricals:
     def test_single_field_always_changes(self):
-        rng = np.random.default_rng(1)
-        probs = category_probs([6])
-        for _ in range(50):
-            cat = np.array([rng.integers(0, 6)])
-            out = perturb_categoricals(cat, 1, probs, [6], rng)
-            assert out[0] != cat[0]
-            assert 0 <= out[0] < 6
+        cat = np.random.default_rng(1).integers(0, 6, size=(50, 1))
+        out = categorical_negatives((6,), cat, seed=1)
+        assert np.all(out != cat)
+        assert np.all((0 <= out) & (out < 6))
 
     def test_arity_two_replacement_is_the_other_value(self):
-        rng = np.random.default_rng(2)
-        probs = category_probs([2])
-        assert perturb_categoricals(np.array([0]), 1, probs, [2], rng)[0] == 1
-        assert perturb_categoricals(np.array([1]), 1, probs, [2], rng)[0] == 0
+        out = categorical_negatives((2,), [[0], [1]], m=5, seed=2)
+        assert out[:5, 0].tolist() == [1] * 5
+        assert out[5:, 0].tolist() == [0] * 5
 
-    def test_count_bounds_enforced(self):
-        probs = category_probs([4, 4])
-        with pytest.raises(ValueError):
-            perturb_categoricals(np.array([0, 0]), 2, probs, [4, 4],
-                                 np.random.default_rng(0))
+    def test_replacements_uniform_over_the_other_values(self):
+        n = 8000
+        out = categorical_negatives((5,), np.full((n, 1), 2), seed=14)
+        observed = np.bincount(out[:, 0], minlength=5)
+        assert observed[2] == 0
+        others = observed[[0, 1, 3, 4]]
+        chi2 = float(((others - n / 4) ** 2 / (n / 4)).sum())
+        assert chi2 < stats.chi2.ppf(0.99, df=3)
 
     def test_selection_frequency_tracks_probs_within_3_sigma(self):
-        rng = np.random.default_rng(3)
+        # two fields allow exactly one perturbed field per negative
         arities = [100, 10]
         probs = category_probs(arities)
         draws = 10_000
-        cat = np.array([5, 5])
-        changed = np.zeros(2)
-        for _ in range(draws):
-            out = perturb_categoricals(cat, 1, probs, arities, rng)
-            changed += out != cat
+        out = categorical_negatives(arities, np.full((draws, 2), 5), seed=3)
+        changed = (out != 5).sum(axis=0)
+        assert changed.sum() == draws
         for w in range(2):
             p = probs[w]
             sigma = math.sqrt(draws * p * (1.0 - p))
             assert abs(changed[w] - draws * p) < 3 * sigma
 
     def test_arity_one_fields_are_skipped(self):
-        rng = np.random.default_rng(4)
-        probs = category_probs([1, 3])
-        out = perturb_categoricals(np.array([0, 1]), 1, probs, [1, 3], rng)
-        assert out[0] == 0
-        assert out[1] != 1
+        out = categorical_negatives((1, 3), np.tile([[0, 1]], (200, 1)), seed=4)
+        assert np.all(out[:, 0] == 0)
+        assert np.all(out[:, 1] != 1)
 
 
 class TestPerturbContinuous:
@@ -133,55 +136,57 @@ class TestPerturbContinuous:
 class TestGenerateNegatives:
     def test_each_sample_differs_from_source(self, small_schema):
         rng = np.random.default_rng(10)
-        record = Record(np.array([1, 0]), np.array([0.2, 0.4, 0.6, 0.8]))
-        negs = generate_negatives(record, NegSamplerConfig(m=10), small_schema, rng)
-        assert len(negs) == 10
-        for neg in negs:
-            changed = (not np.array_equal(neg.cat, record.cat)
-                       or not np.array_equal(neg.cont, record.cont))
-            assert changed
+        cat = np.array([[1, 0], [2, 1]])
+        cont = np.array([[0.2, 0.4, 0.6, 0.8], [0.1, 0.3, 0.5, 0.7]])
+        neg_cat, neg_cont = generate_negatives_batch(cat, cont, NegSamplerConfig(m=10),
+                                                     small_schema, rng)
+        assert neg_cat.shape == (20, 2) and neg_cont.shape == (20, 4)
+        changed = ((neg_cat != np.repeat(cat, 10, axis=0)).any(axis=1)
+                   | (neg_cont != np.repeat(cont, 10, axis=0)).any(axis=1))
+        assert changed.all()
 
     def test_per_sample_count_range(self):
         # six categorical fields allow 1..3 perturbed fields per sample
-        schema = schema_with((4,) * 6, 0)
-        assert max_cat_perturb(schema.k) == 3
-        rng = np.random.default_rng(11)
-        cat = np.zeros((1, 6), dtype=np.int64)
-        neg_cat, _ = generate_negatives_batch(cat, np.zeros((1, 0)),
-                                              NegSamplerConfig(m=4000), schema, rng)
-        counts = (neg_cat != 0).sum(axis=1)
+        counts = (categorical_negatives((4,) * 6, np.zeros((1, 6)), m=4000, seed=11)
+                  != 0).sum(axis=1)
         assert counts.min() >= 1 and counts.max() <= 3
         assert set(np.unique(counts).tolist()) == {1, 2, 3}
 
     def test_fixed_seed_reproduces_samples(self, small_schema):
-        record = Record(np.array([2, 1]), np.array([0.1, 0.3, 0.5, 0.7]))
+        cat, cont = np.array([[2, 1]]), np.array([[0.1, 0.3, 0.5, 0.7]])
         config = NegSamplerConfig(m=6)
-        a = generate_negatives(record, config, small_schema,
-                               np.random.default_rng(123))
-        b = generate_negatives(record, config, small_schema,
-                               np.random.default_rng(123))
-        for x, y in zip(a, b):
-            assert np.array_equal(x.cat, y.cat)
-            assert np.array_equal(x.cont, y.cont)
+        a = generate_negatives_batch(cat, cont, config, small_schema,
+                                     np.random.default_rng(123))
+        b = generate_negatives_batch(cat, cont, config, small_schema,
+                                     np.random.default_rng(123))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_degenerate_schema_rejected(self):
-        schema = schema_with((), 3)
-        with pytest.raises(ConfigError):
-            check_sampler_schema(schema)
-        with pytest.raises(ConfigError):
-            generate_negatives_batch(np.zeros((1, 0), dtype=np.int64),
-                                     np.full((1, 3), 0.5),
-                                     NegSamplerConfig(m=1), schema,
-                                     np.random.default_rng(0))
+        # nothing to perturb: no field with two values and fewer than 4 continuous
+        for arities, r, named in [((), 3, r"arities \[\], r=3"),
+                                  ((1, 1), 3, r"arities \[1, 1\], r=3"),
+                                  ((1,), 0, r"arities \[1\], r=0")]:
+            schema = schema_with(arities, r)
+            with pytest.raises(ConfigError, match=named):
+                check_sampler_schema(schema)
+            with pytest.raises(ConfigError):
+                generate_negatives_batch(np.zeros((1, len(arities)), dtype=np.int64),
+                                         np.full((1, r), 0.5),
+                                         NegSamplerConfig(m=1), schema,
+                                         np.random.default_rng(0))
 
     def test_continuous_only_schema_works_at_four_fields(self):
-        schema = schema_with((), 4)
-        rng = np.random.default_rng(12)
-        cat, cont = generate_negatives_batch(np.zeros((2, 0), dtype=np.int64),
-                                             np.full((2, 4), 0.5),
-                                             NegSamplerConfig(m=3), schema, rng)
-        assert cont.shape == (6, 4)
-        assert np.all(cont.max(axis=1) > 0.5)
+        # one-valued categorical fields leave the continuous pass to do the work
+        for arities in [(), (1, 1)]:
+            schema = schema_with(arities, 4)
+            rng = np.random.default_rng(12)
+            cat, cont = generate_negatives_batch(np.zeros((2, len(arities)), dtype=np.int64),
+                                                 np.full((2, 4), 0.5),
+                                                 NegSamplerConfig(m=3), schema, rng)
+            assert cat.shape == (6, len(arities)) and not cat.any()
+            assert cont.shape == (6, 4)
+            assert np.all(cont.max(axis=1) > 0.5)
 
     def test_selection_distribution_chi_square(self):
         # with at most one field perturbed per sample, selection frequencies

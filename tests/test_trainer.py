@@ -12,7 +12,7 @@ import pytest
 
 from chadkit import trainer
 from chadkit.data import batch_iter
-from chadkit.errors import TrainingDiverged
+from chadkit.errors import ConfigError, TrainingDiverged
 from chadkit.model import ChadModel, ModelConfig
 from chadkit.negsampler import NegSamplerConfig, generate_negatives_batch
 from chadkit.nn import Adam
@@ -325,6 +325,25 @@ class TestDivergence:
         with pytest.raises(TrainingDiverged, match="phase 1"):
             run_phase1(model, toy_data,
                        TrainSchedule(phase_epochs=(1, 0, 0), **SCHED))
+
+
+class TestSamplerSchemaCheck:
+    def test_nothing_to_perturb_raises_before_the_first_batch(self):
+        # one-valued categorical fields and 3 continuous fields: no negative can differ
+        ds = make_clustered_dataset(200, arities=(1, 1), n_cont=3, n_clusters=3, seed=9)
+        log, checkpoints = TrainLog(), []
+        with pytest.raises(ConfigError, match=r"arities \[1, 1\], r=3"):
+            train(build_model(ds), ds, TrainSchedule(phase_epochs=(1, 1, 1), **SCHED),
+                  NegSamplerConfig(m=2), log=log,
+                  checkpoint_fn=lambda phase, _model: checkpoints.append(phase))
+        assert log.entries == [] and checkpoints == []
+
+    def test_one_valued_fields_with_four_continuous_train(self):
+        ds = make_clustered_dataset(200, arities=(1, 1), n_cont=4, n_clusters=3, seed=9)
+        log = TrainLog()
+        train(build_model(ds), ds, TrainSchedule(phase_epochs=(1, 1, 1), **SCHED),
+              NegSamplerConfig(m=2), log=log)
+        assert {e["phase"] for e in log.entries} == {1, 2, 3}
 
 
 # Phase 2 of a desk-shaped training in a fresh process, where glibc's dynamic
