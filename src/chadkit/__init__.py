@@ -28,12 +28,10 @@ from .errors import (
 )
 from .estimator import Estimator, SecondaryNoiseSpec
 from .evaluate import (
-    PRPoint,
     ScoredRecords,
     average_precision,
     latent_projection,
     noise_ablation,
-    precision_recall_curve,
     score_dataset,
     synth_anomalies,
     vary_anomaly_harness,
@@ -57,8 +55,8 @@ __all__ = [
     "ChadkitError", "ConfigError", "DataError", "MetricError", "SchemaError",
     "TrainingDiverged",
     "Estimator", "SecondaryNoiseSpec",
-    "PRPoint", "ScoredRecords", "average_precision", "latent_projection",
-    "noise_ablation", "precision_recall_curve", "score_dataset",
+    "ScoredRecords", "average_precision", "latent_projection",
+    "noise_ablation", "score_dataset",
     "synth_anomalies", "vary_anomaly_harness",
     "ChadModel", "ModelConfig",
     "NegSamplerConfig", "category_probs", "perturb_continuous",

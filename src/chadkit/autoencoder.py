@@ -16,7 +16,8 @@ import numpy as np
 
 from .data import RecordSchema, as_batch
 from .errors import SchemaError
-from .nn import Array, DenseStack, glorot_uniform, mse_loss, mse_loss_backward
+from .nn import (Array, DenseStack, glorot_uniform, mse_loss, mse_loss_backward,
+                 strip_prefix)
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -133,11 +134,13 @@ class FieldTransform:
         cat, cont = cache
         grads: dict[str, Array] = {}
         offset = 0
-        for w, e in enumerate(self.spec.embed_dims):
+        for w, (a, e) in enumerate(zip(self.schema.arities, self.spec.embed_dims)):
+            # row i's gradient for column j lands on key index * e + j; bincount
+            # adds each key's rows in row order, as a scatter-add would
+            keys = cat[:, w, None] * e + np.arange(e)
             block = grad_xt[:, offset:offset + e]
-            g = np.zeros_like(self.embeddings[w])
-            np.add.at(g, cat[:, w], block)
-            grads[f"emb.{w}"] = g
+            grads[f"emb.{w}"] = np.bincount(keys.ravel(), weights=block.ravel(),
+                                            minlength=a * e).reshape(a, e)
             offset += e
         if self.g_weight is not None:
             block = grad_xt[:, offset:offset + self.spec.g_dim]
@@ -149,6 +152,12 @@ class FieldTransform:
         if self.g_weight is not None:
             out["g.W"] = self.g_weight
         return out
+
+    def bind(self, views: dict[str, Array]):
+        """Point every parameter at the same-named array of ``views``."""
+        self.embeddings = [views[f"emb.{w}"] for w in range(self.schema.k)]
+        if self.g_weight is not None:
+            self.g_weight = views["g.W"]
 
 
 class Autoencoder:
@@ -207,6 +216,12 @@ class Autoencoder:
         out.update({f"enc.{k}": v for k, v in self.encoder.params().items()})
         out.update({f"dec.{k}": v for k, v in self.decoder.params().items()})
         return out
+
+    def bind(self, views: dict[str, Array]):
+        """Point every parameter at the same-named array of ``views``."""
+        self.transform.bind(views)
+        self.encoder.bind(strip_prefix(views, "enc."))
+        self.decoder.bind(strip_prefix(views, "dec."))
 
 
 class FoldedEncoder:

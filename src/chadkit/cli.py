@@ -35,7 +35,7 @@ from .estimator import SecondaryNoiseSpec
 from .evaluate import (average_precision, latent_projection, score_dataset,
                        synth_anomalies, vary_anomaly_harness, write_projection_csv)
 from .model import ChadModel, ModelConfig, parameter_count
-from .negsampler import NegSamplerConfig, generate_negatives_batch
+from .negsampler import NegSamplerConfig, check_sampler_schema, generate_negatives_batch
 from .persist import load_model, save_model
 from .seeds import named_streams
 from .trainer import TrainLog, TrainSchedule, train
@@ -170,15 +170,20 @@ def _build(cls, obj: dict, where: str):
 
 
 def _out_dir(config: dict, args) -> Path:
+    """The output directory --out or out_dir names, not created yet: a command
+    creates it (``_make_dir``) once its inputs have passed their checks, so an
+    input error leaves no empty directory behind."""
     out = args.out or config.get("out_dir")
     if not out:
         raise ConfigError("no output directory: set out_dir in the config or pass --out")
-    path = Path(out)
+    return Path(out)
+
+
+def _make_dir(path: Path):
     try:
         path.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as err:
-        raise ConfigError(f"cannot create output directory {out}: {err}") from None
-    return path
+        raise ConfigError(f"cannot create output directory {path}: {err}") from None
 
 
 def _write_json(path, obj):
@@ -224,11 +229,13 @@ def cmd_train(args) -> int:
     noise_spec = SecondaryNoiseSpec(config.get("secondary_noise", True))
     out = _out_dir(config, args)
     dataset, stats, report = _load_training(config, "train_data")
+    check_sampler_schema(dataset.schema)   # as train() does, but before out is made
     spec = FieldTransformSpec.for_schema(dataset.schema, model_config)
     count = parameter_count(dataset.schema, model_config, spec)
     if count > MAX_PARAMETERS:
         raise ConfigError(f"model: {count} parameters exceed the limit of {MAX_PARAMETERS}; "
                           f"reduce model.encoder_sizes, model.embed_cap or model.g_dim")
+    _make_dir(out)
 
     model = ChadModel(dataset.schema, model_config, named_streams(seed)["init"], spec)
     log = TrainLog()
@@ -338,6 +345,7 @@ def cmd_eval(args) -> int:
     except MetricError as err:
         raise MetricError(f"{err}; {config['test_data']}: "
                           f"{_rows_summary(load_report)}") from None
+    _make_dir(out)
     report.update(config={**config, "seed": seed}, load_report=load_report.to_json())
 
     if percentages:
@@ -370,6 +378,7 @@ def cmd_bench_concept(args) -> int:
                             for i, item in enumerate(concept[key])]
     concept = _build(ConceptConfig, concept, "concept")
     out = _out_dir(config, args)
+    _make_dir(out)
     seeds = config.get("seeds", list(range(seed, seed + 10)))
 
     result = run_concept_bench(concept, seeds)
@@ -415,6 +424,7 @@ def cmd_viz_latent(args) -> int:
     model, stats = load_model(model_path)
     dataset, _ = _load_for_model(model, stats, data_path,
                                  label_field=config.get("label_field"))
+    _make_dir(out)
     vectors = model.encode(dataset.cat, dataset.cont)
     if source == "estimator":
         vectors = model.estimator.penultimate(vectors)
@@ -434,6 +444,7 @@ def cmd_negsample_dump(args) -> int:
     neg_config = _build(NegSamplerConfig, config.get("negatives", {}), "negatives")
     out = _out_dir(config, args)
     dataset, _, _ = _load_training(config, "data")
+    _make_dir(out)
     head = dataset.subset(np.arange(min(config.get("rows", 3), dataset.n)))
 
     rng = named_streams(seed)["negsampler"]

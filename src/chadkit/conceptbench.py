@@ -19,7 +19,7 @@ from scipy.stats import gamma as gamma_dist
 from .errors import ConfigError, TrainingDiverged
 from .estimator import contrastive_loss_terms
 from .evaluate import average_precision
-from .nn import Adam, Array, DenseStack
+from .nn import Adam, Array, DenseStack, pack
 
 
 @dataclass
@@ -333,14 +333,18 @@ def nce_concept(points: Array, config: ConceptConfig, rng: np.random.Generator,
 
     sizes = [2, *NCE_HIDDEN, 1]
     stack = DenseStack(sizes, ["tanh"] * len(NCE_HIDDEN) + ["sigmoid"], 0.0, rng)
-    opt = Adam(stack.params(), NCE_LR)
+    flat, params = pack(stack.params())
+    stack.bind(params)
+    opt = Adam(flat, params, NCE_LR)
     for _ in range(epochs):
         f_pos, pos_caches = stack.forward(x_pos)
         f_neg, neg_caches = stack.forward(x_neg)
         _, d_pos, d_neg = contrastive_loss_terms(f_pos[:, 0], f_neg, 1.0)
         _, g_pos = stack.backward(pos_caches, d_pos[:, None])
         _, g_neg = stack.backward(neg_caches, d_neg)
-        opt.step({key: g_pos[key] + g_neg[key] for key in g_pos})
+        for key, g in g_pos.items():
+            g += g_neg[key]
+        opt.step(g_pos)
     return NceModel(stack, center, scale)
 
 

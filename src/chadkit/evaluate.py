@@ -41,16 +41,14 @@ def score_dataset(model: ChadModel, dataset: Dataset) -> ScoredRecords:
                          else dataset.labels.copy())
 
 
-@dataclass
-class PRPoint:
-    """One operating point of the precision-recall curve."""
+def average_precision(scores, labels, anomaly_is_low_score: bool = True,
+                      ids=None) -> float:
+    """Area under the precision-recall curve as a step-interpolated sum.
 
-    threshold: float
-    precision: float
-    recall: float
-
-
-def _ranked_hits(scores, labels, anomaly_is_low_score, ids=None):
+    ``labels`` marks anomalies with 1; anomalies are ranked first (lowest
+    score first by default). Tied scores keep the input position order, or
+    ascending ``ids`` when given. Requires both classes to be present.
+    """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
@@ -63,35 +61,7 @@ def _ranked_hits(scores, labels, anomaly_is_low_score, ids=None):
         order = np.argsort(keys, kind="stable")
     else:
         order = np.lexsort((np.asarray(ids), keys))
-    return scores[order], labels[order] == 1, n_pos
-
-
-def precision_recall_curve(scores, labels, anomaly_is_low_score: bool = True,
-                           ids=None) -> list[PRPoint]:
-    """Operating points at every prefix of the anomaly-first ranking.
-
-    The threshold of point n is the n-th ranked score (predict "anomaly" for
-    everything ranked at or before it). Recall is non-decreasing along the
-    returned list.
-    """
-    ranked_scores, hits, n_pos = _ranked_hits(scores, labels,
-                                              anomaly_is_low_score, ids)
-    tp = np.cumsum(hits)
-    ranks = np.arange(1, len(hits) + 1)
-    return [PRPoint(float(ranked_scores[i]), float(tp[i] / ranks[i]),
-                    float(tp[i] / n_pos))
-            for i in range(len(hits))]
-
-
-def average_precision(scores, labels, anomaly_is_low_score: bool = True,
-                      ids=None) -> float:
-    """Area under the precision-recall curve as a step-interpolated sum.
-
-    ``labels`` marks anomalies with 1; anomalies are ranked first (lowest
-    score first by default). Tied scores keep the input position order, or
-    ascending ``ids`` when given. Requires both classes to be present.
-    """
-    _, hits, n_pos = _ranked_hits(scores, labels, anomaly_is_low_score, ids)
+    hits = labels[order] == 1
     tp = np.cumsum(hits)
     ranks = np.arange(1, len(hits) + 1)
     precision_at_hit = tp[hits] / ranks[hits]

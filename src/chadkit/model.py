@@ -15,7 +15,7 @@ from .autoencoder import Autoencoder, FieldTransformSpec, FoldedEncoder
 from .data import Dataset, RecordSchema
 from .errors import SchemaError
 from .estimator import Estimator
-from .nn import Array, merge_grads
+from .nn import Array, pack, strip_prefix
 
 # Rows pushed through the folded encoder and the estimator at once when
 # encoding or scoring: the widest temporary is SCORE_CHUNK_ROWS x the first
@@ -81,7 +81,12 @@ def parameter_count(schema: RecordSchema, config: ModelConfig,
 
 
 class ChadModel:
-    """Autoencoder + estimator with a shared flat parameter view."""
+    """Autoencoder + estimator whose parameters are views into one vector.
+
+    ``flat`` holds every parameter flattened C-order in sorted-name order,
+    the model file's payload order. Every "ae." name sorts before every
+    "est." name, so each optimizer group is one contiguous slice of it.
+    """
 
     def __init__(self, schema: RecordSchema, config: ModelConfig, rng: np.random.Generator,
                  transform_spec: FieldTransformSpec | None = None):
@@ -92,6 +97,11 @@ class ChadModel:
         self.autoencoder = Autoencoder(schema, transform_spec, config.encoder_sizes,
                                        config.dropout_ae, rng)
         self.estimator = Estimator(config.latent_dim, config.dropout_est, rng)
+        self.flat, self._params = pack(
+            {**{f"ae.{k}": v for k, v in self.autoencoder.params().items()},
+             **{f"est.{k}": v for k, v in self.estimator.params().items()}})
+        self.autoencoder.bind(strip_prefix(self._params, "ae."))
+        self.estimator.stack.bind(strip_prefix(self._params, "est."))
 
     @property
     def latent_dim(self) -> int:
@@ -100,22 +110,28 @@ class ChadModel:
     # ---- parameter views -------------------------------------------------
 
     def params(self) -> dict[str, Array]:
-        out = {f"ae.{k}": v for k, v in self.autoencoder.params().items()}
-        out.update({f"est.{k}": v for k, v in self.estimator.params().items()})
-        return out
+        """Name -> view into ``flat``, in sorted-name order."""
+        return dict(self._params)
+
+    def group(self, prefix: str) -> tuple[Array, dict[str, Array]]:
+        """The slice of ``flat`` holding the parameters whose names start with
+        ``prefix``, and their name -> view map: an ``Adam``'s arguments."""
+        params = {k: v for k, v in self._params.items() if k.startswith(prefix)}
+        # sorted names: those below the prefix come first, then the group
+        start = sum(v.size for k, v in self._params.items() if k < prefix)
+        return self.flat[start:start + sum(v.size for v in params.values())], params
 
     def autoencoder_params(self) -> dict[str, Array]:
-        return {k: v for k, v in self.params().items() if k.startswith("ae.")}
+        return self.group("ae.")[1]
 
     def estimator_params(self) -> dict[str, Array]:
-        return {k: v for k, v in self.params().items() if k.startswith("est.")}
+        return self.group("est.")[1]
 
     def snapshot(self, keys=None) -> dict[str, Array]:
         """Copies of parameters (for bitwise freeze checks)."""
-        params = self.params()
         if keys is None:
-            keys = params.keys()
-        return {k: params[k].copy() for k in keys}
+            keys = self._params.keys()
+        return {k: self._params[k].copy() for k in keys}
 
     # ---- forward passes --------------------------------------------------
 
@@ -170,13 +186,16 @@ class ChadModel:
             x_e, z_in.reshape(b, k, p), gamma, train, rng)
         grads = {f"est.{key}": v for key, v in est_grads.items()}
 
-        ae_grads: dict[str, Array] = {}
-        for ctx, g_lat in ((pos_ctx, g_pos_lat), (neg_ctx, g_neg_lat.reshape(s, p))):
-            ft_cache, enc_caches, _ = ctx
-            g_xt, enc_g = ae.encoder.backward(enc_caches, g_lat)
-            merge_grads(ae_grads, {f"enc.{key}": v for key, v in enc_g.items()})
-            merge_grads(ae_grads, ae.transform.backward(ft_cache, g_xt))
-        grads.update({f"ae.{key}": v for key, v in ae_grads.items()})
+        paths = []
+        for (ft_cache, enc_caches, _), g_lat in ((pos_ctx, g_pos_lat),
+                                                 (neg_ctx, g_neg_lat.reshape(s, p))):
+            g_xt, enc_grads = ae.encoder.backward(enc_caches, g_lat)
+            paths.append({f"enc.{key}": v for key, v in enc_grads.items()}
+                         | ae.transform.backward(ft_cache, g_xt))
+        pos, neg = paths
+        for key, g in pos.items():
+            g += neg[key]
+            grads[f"ae.{key}"] = g
         return loss, grads
 
     def loss_joint(self, cat, cont, neg_cat, neg_cont, noise, gates, lam: float,
@@ -193,12 +212,18 @@ class ChadModel:
         grads: dict[str, Array] = {}
         recon_part = est_part = None
         if gate_recon:
-            recon_part, g = self.loss_recon(cat, cont, train, rng)
+            recon_part, grads = self.loss_recon(cat, cont, train, rng)
             total += lam * recon_part
-            merge_grads(grads, g, scale=lam)
+            for g in grads.values():
+                g *= lam
         if gate_est:
-            est_part, g = self.loss_estimator(
+            est_part, est_grads = self.loss_estimator(
                 cat, cont, neg_cat, neg_cont, noise, gamma, train, rng)
             total += est_part
-            merge_grads(grads, g)
+            # in place, lam * recon + (positive + negative path)
+            for key, g in est_grads.items():
+                if key in grads:
+                    grads[key] += g
+                else:
+                    grads[key] = g
         return total, grads, recon_part, est_part

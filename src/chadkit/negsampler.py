@@ -82,7 +82,10 @@ def _perturb_cat_batch(cat: Array, counts: Array, probs: Array, arities: Array,
     # with the smallest Exp(1)/p_w keys are the chosen ones
     keys = rng.exponential(size=(s, k)) / np.where(eligible, probs, 1.0)
     keys[:, ~eligible] = np.inf
-    ranks = np.argsort(np.argsort(keys, axis=1), axis=1)
+    # each row's ranks: the inverse of the permutation that sorts its keys
+    order = np.argsort(keys, axis=1)
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(k), axis=1)
     selected = ranks < counts[:, None]
 
     new_cat = cat.copy()

@@ -48,8 +48,12 @@ class DenseLayer:
         """Activations of a 2-D float64 batch ``x`` of width ``in_dim``, and
         the cache for ``backward``. The width is not checked here: a
         ``DenseStack`` chains layers whose widths match by construction."""
-        z = x @ self.W.T + self.b
-        a = np.tanh(z) if self.activation == "tanh" else expit(z)
+        a = x @ self.W.T
+        a += self.b
+        if self.activation == "tanh":
+            np.tanh(a, out=a)
+        else:
+            expit(a, out=a)
         # the activation output is enough to form d(act)/dz for both
         return a, (x, a)
 
@@ -120,6 +124,11 @@ class DenseStack:
             out[f"{i}.b"] = layer.b
         return out
 
+    def bind(self, views: dict[str, Array]):
+        """Point every layer's parameters at the same-named arrays of ``views``."""
+        for i, layer in enumerate(self.layers):
+            layer.W, layer.b = views[f"{i}.W"], views[f"{i}.b"]
+
 
 def mse_loss(x: Array, x_hat: Array) -> float:
     """Mean squared error over every element of two same-shaped float arrays."""
@@ -133,44 +142,74 @@ def mse_loss_backward(x: Array, x_hat: Array):
     return g, -g
 
 
-class Adam:
-    """Bias-corrected Adam owning a fixed set of live parameter arrays,
-    which ``step`` updates in place."""
+def strip_prefix(named: dict[str, Array], prefix: str) -> dict[str, Array]:
+    """The entries of ``named`` whose name starts with ``prefix``, without it."""
+    return {k[len(prefix):]: v for k, v in named.items() if k.startswith(prefix)}
 
-    def __init__(self, params: dict[str, Array], lr: float):
+
+def pack(params: dict[str, Array]) -> tuple[Array, dict[str, Array]]:
+    """One contiguous float64 vector holding ``params`` flattened C-order in
+    sorted-name order, and a name -> view map into it with each parameter's
+    shape and values. An owner that adopts the views (``bind``) can be
+    stepped in place by an ``Adam`` over the vector."""
+    names = sorted(params)
+    flat = np.concatenate([params[name].ravel() for name in names])
+    views, offset = {}, 0
+    for name in names:
+        views[name] = flat[offset:offset + params[name].size].reshape(params[name].shape)
+        offset += params[name].size
+    return flat, views
+
+
+class Adam:
+    """Bias-corrected Adam over one contiguous float64 vector, ``flat``, which
+    ``step`` updates in place; ``params`` maps each name to its view into
+    ``flat``, laid out as ``pack`` lays them."""
+
+    def __init__(self, flat: Array, params: dict[str, Array], lr: float):
+        if sum(p.size for p in params.values()) != flat.size:
+            raise ValueError("the parameter views do not cover the vector")
+        self.flat = flat
         self.params = params
         self.lr = lr
-        self.m = {k: np.zeros_like(p) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p) for k, p in params.items()}
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
         self.t = 0
+        # the gradients are gathered into a vector laid out like ``flat``
+        self._grad, self._grad_views = pack(params)
+        self._tmp = np.empty_like(flat)
 
     def step(self, grads: dict[str, Array]):
-        missing = set(self.m) - set(grads)
+        """One update from ``grads``, which holds at least every name of
+        ``params`` (other names are ignored)."""
+        missing = set(self.params) - set(grads)
         if missing:
             raise ValueError(f"missing gradients for {sorted(missing)}")
-        for key, g in grads.items():
-            if not np.all(np.isfinite(g)):
-                raise TrainingDiverged(f"non-finite gradient for parameter {key!r}")
+        g, tmp, m, v = self._grad, self._tmp, self.m, self.v
+        for name, view in self._grad_views.items():
+            view[...] = grads[name]
+        if not np.isfinite(g).all():
+            bad = next(k for k, view in self._grad_views.items() if not np.isfinite(view).all())
+            raise TrainingDiverged(f"non-finite gradient for parameter {bad!r}")
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for key in self.m:
-            g = grads[key]
-            self.m[key] = ADAM_BETA1 * self.m[key] + (1.0 - ADAM_BETA1) * g
-            self.v[key] = ADAM_BETA2 * self.v[key] + (1.0 - ADAM_BETA2) * (g * g)
-            m_hat = self.m[key] / bc1
-            v_hat = self.v[key] / bc2
-            self.params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-
-
-def merge_grads(dst: dict[str, Array], src: dict[str, Array], scale: float = 1.0):
-    """Accumulate ``src`` into ``dst`` (used when a loss has several paths)."""
-    for key, g in src.items():
-        if key in dst:
-            dst[key] = dst[key] + scale * g
-        else:
-            dst[key] = scale * g
-    return dst
+        # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * (g * g)
+        np.multiply(m, ADAM_BETA1, out=m)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+        np.add(m, tmp, out=m)
+        np.multiply(v, ADAM_BETA2, out=v)
+        np.multiply(g, g, out=tmp)
+        np.multiply(tmp, 1.0 - ADAM_BETA2, out=tmp)
+        np.add(v, tmp, out=v)
+        # flat -= (lr * m_hat) / (sqrt(v_hat) + eps); g is free from here on
+        np.divide(m, bc1, out=g)
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        np.add(tmp, ADAM_EPS, out=tmp)
+        np.multiply(g, self.lr, out=g)
+        np.divide(g, tmp, out=g)
+        np.subtract(self.flat, g, out=self.flat)
 
 
 def grad_check(loss_fn, params: dict[str, Array], probe_count: int = 20,

@@ -4,8 +4,9 @@ File layout (also described in docs/model_format.md):
 
     bytes 0..7    little-endian uint64: byte length H of the JSON header
     bytes 8..8+H  UTF-8 JSON header
-    remainder     every parameter flattened C-order as little-endian
-                  float64, concatenated in the header's "params" order
+    remainder     the model's parameter vector (``ChadModel.flat``) as
+                  little-endian float64: every parameter flattened C-order,
+                  in the header's "params" order, which is sorted-name order
 
 The header carries the schema (with vocabularies), its hash, the model and
 transform configuration, the normalization stats, and the parameter names
@@ -30,7 +31,6 @@ FORMAT_VERSION = 1
 
 def save_model(path, model: ChadModel, stats: NormalizationStats):
     params = model.params()
-    names = sorted(params)
     header = {
         "format_version": FORMAT_VERSION,
         "schema": model.schema.to_json(),
@@ -38,7 +38,7 @@ def save_model(path, model: ChadModel, stats: NormalizationStats):
         "model_config": model.config.to_json(),
         "transform_spec": model.autoencoder.transform.spec.to_json(),
         "normalization": stats.to_json(),
-        "params": [{"name": n, "shape": list(params[n].shape)} for n in names],
+        "params": [{"name": n, "shape": list(p.shape)} for n, p in params.items()],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     # written beside the target and renamed over it, so a crash mid-write
@@ -49,8 +49,7 @@ def save_model(path, model: ChadModel, stats: NormalizationStats):
         with open(tmp, "wb") as f:
             f.write(struct.pack("<Q", len(blob)))
             f.write(blob)
-            for name in names:
-                f.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
+            f.write(model.flat.astype("<f8", copy=False).tobytes())
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -62,7 +61,10 @@ def save_model(path, model: ChadModel, stats: NormalizationStats):
 def load_model(path):
     """Rebuild (model, stats) from a saved file.
 
-    Any file that is not a well-formed model raises DataError.
+    Any file that is not a well-formed model raises DataError: among others,
+    one whose "params" list differs from the (name, shape) list of the model
+    its header describes, or one holding a non-finite parameter or
+    normalization bound.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -104,18 +106,19 @@ def load_model(path):
             SchemaError) as err:   # OverflowError: int() of an infinite size
         raise DataError(f"{path}: malformed model header: {err!r}") from None
 
-    params = model.params()
-    offset = 0
-    for name, shape in entries:
-        if name not in params or params[name].shape != shape:
-            raise DataError(f"{path}: unexpected parameter {name} {shape}")
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        chunk = payload[offset:offset + nbytes]
-        if len(chunk) != nbytes:
-            raise DataError(f"{path}: truncated payload at parameter {name}")
-        params[name][...] = np.frombuffer(chunk, dtype="<f8").reshape(shape)
-        offset += nbytes
-    if offset != len(payload):
-        raise DataError(f"{path}: {len(payload) - offset} trailing payload bytes")
+    expected = [(name, p.shape) for name, p in model.params().items()]
+    if entries != expected:
+        raise DataError(f"{path}: the header's parameter list does not match the "
+                        f"model it describes")
+    if len(payload) != model.flat.size * 8:
+        raise DataError(f"{path}: {len(payload) - model.flat.size * 8} trailing payload bytes")
+    model.flat[...] = np.frombuffer(payload, dtype="<f8")
+    # a non-finite weight or bound would score every row as nan without a word
+    if not np.isfinite(model.flat).all():
+        name = next(k for k, p in model.params().items() if not np.isfinite(p).all())
+        raise DataError(f"{path}: parameter {name} holds a non-finite value")
+    for key in ("mins", "maxs"):
+        bad = np.flatnonzero(~np.isfinite(getattr(stats, key)))
+        if bad.size:
+            raise DataError(f"{path}: normalization.{key}[{bad[0]}] is not finite")
     return model, stats

@@ -128,8 +128,8 @@ def _run_phase(phase: int, model: ChadModel, data: Dataset, schedule: TrainSched
         streams = named_streams(schedule.seed)
     if log is None:
         log = TrainLog()
-    opt_ae = Adam(model.autoencoder_params(), schedule.learning_rate) if phase < 3 else None
-    opt_est = Adam(model.estimator_params(), schedule.learning_rate) if phase > 1 else None
+    opt_ae = Adam(*model.group("ae."), schedule.learning_rate) if phase < 3 else None
+    opt_est = Adam(*model.group("est."), schedule.learning_rate) if phase > 1 else None
     epochs = schedule.phase_epochs[phase - 1]
     if phase == 3 and epochs:
         # nothing feeding the latents trains, so fold the encoder and
@@ -167,9 +167,9 @@ def _run_phase(phase: int, model: ChadModel, data: Dataset, schedule: TrainSched
                     f"non-finite loss {total} at phase {phase}, epoch {epoch}, "
                     f"batch {b_idx}")
             if gates[0]:
-                opt_ae.step({k: g for k, g in grads.items() if k.startswith("ae.")})
+                opt_ae.step(grads)
             if gates[1]:
-                opt_est.step({k: g for k, g in grads.items() if k.startswith("est.")})
+                opt_est.step(grads)
             log.add(phase=phase, epoch=epoch, batch=b_idx,
                     gates=list(gates), **{"lambda": lam}, gamma=gamma,
                     loss_recon=l_r, loss_est=l_est)

@@ -83,6 +83,23 @@ class TestFieldTransform:
         assert np.all(g[[1, 3]] != 0.0)
         assert np.all(g[[0, 2, 4]] == 0.0)
 
+    def test_embedding_gradients_equal_scatter_add_bitwise(self):
+        # the reference: np.add.at, which adds each index's rows in row order
+        schema = schema_with((7, 40, 2), 3)
+        spec = FieldTransformSpec.for_schema(schema, DEFAULTS)
+        transform = FieldTransform(schema, spec, np.random.default_rng(0))
+        rng = np.random.default_rng(4)
+        cat = np.stack([rng.integers(0, a, 300) for a in schema.arities], axis=1)
+        x_t, cache = transform.forward(cat, rng.random((300, 3)))
+        grad = rng.normal(size=x_t.shape)
+        grads = transform.backward(cache, grad)
+        offset = 0
+        for w, e in enumerate(spec.embed_dims):
+            want = np.zeros((schema.arities[w], e))
+            np.add.at(want, cat[:, w], grad[:, offset:offset + e])
+            assert grads[f"emb.{w}"].tobytes() == want.tobytes()
+            offset += e
+
 
 class TestAutoencoder:
     def _build(self, arities=(3, 4), r=3, sizes=(8, 4), seed=0):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from chadkit.cli import main
+from chadkit.persist import load_model, save_model
 from chadkit.synthdata import make_clustered_dataset
 
 from conftest import read_csv, write_csv, write_schema_json
@@ -149,6 +150,30 @@ class TestTrain:
         assert "categorical arities [1, 1], r=3" in capsys.readouterr().err
         assert not (tmp_path / "run/checkpoint_phase1.chad").exists()
 
+    @pytest.mark.parametrize("arities, cell", [((6, 8), "nan"), ((1, 1), "0.5")],
+                             ids=["nonfinite_cell", "nothing_to_perturb"])
+    def test_input_error_leaves_no_out_dir(self, tmp_path, arities, cell):
+        ds = make_clustered_dataset(40, arities=arities, n_cont=3, n_clusters=2, seed=3)
+        write_schema_json(tmp_path / "schema.json", ds.schema)
+        write_csv(tmp_path / "train.csv", ds.schema, ds.cat, ds.cont)
+        lines = (tmp_path / "train.csv").read_text().splitlines()
+        lines[5] = ",".join([*lines[5].split(",")[:-1], cell])
+        (tmp_path / "train.csv").write_text("\n".join(lines) + "\n")
+        config = {"schema": str(tmp_path / "schema.json"),
+                  "train_data": str(tmp_path / "train.csv"), "min_count": 1}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        out = tmp_path / "run" / "nested"
+        assert main(["train", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(out)]) == 2
+        assert not (tmp_path / "run").exists()
+
+    def test_uncreatable_out_exits_2(self, workspace, tmp_path, capsys):
+        (tmp_path / "afile").write_text("x")
+        rc = main(["train", "--config", str(workspace / "train_cfg.json"),
+                   "--out", str(tmp_path / "afile" / "run")])
+        assert rc == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_nonfinite_training_cell_exits_2(self, workspace, tmp_path, capsys, cell):
         src = (workspace / "train.csv").read_text().splitlines()
@@ -239,6 +264,17 @@ class TestScore:
                    "--data", str(data), "--out", str(tmp_path / "s.csv")])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    def test_nan_weight_model_exits_2_naming_it(self, workspace, tmp_path, capsys):
+        model, stats = load_model(workspace / "run/model.chad")
+        model.params()["ae.enc.0.W"][0, 0] = math.nan
+        save_model(tmp_path / "nan.chad", model, stats)
+        out = tmp_path / "s.csv"
+        rc = main(["score", "--model", str(tmp_path / "nan.chad"),
+                   "--data", str(workspace / "train.csv"), "--out", str(out)])
+        assert rc == 2
+        assert "parameter ae.enc.0.W holds a non-finite value" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_corrupt_model_exits_2(self, workspace, tmp_path):
         model = tmp_path / "corrupt.chad"

@@ -179,12 +179,14 @@ class TestEstimatorLossGradients:
     def test_training_separates_two_blobs(self):
         # nominal latents near the origin, negatives shifted away: after a few
         # optimizer steps the estimator must rank nominal above negatives
-        from chadkit.nn import Adam
+        from chadkit.nn import Adam, pack
         rng = np.random.default_rng(13)
         est = Estimator(4, dropout=0.0, rng=rng)
         pos = rng.normal(size=(200, 4)) * 0.3
         neg = rng.normal(size=(200, 3, 4)) * 0.3 + 2.0
-        opt = Adam(est.params(), lr=5e-3)
+        flat, params = pack(est.params())
+        est.stack.bind(params)
+        opt = Adam(flat, params, lr=5e-3)
         for _ in range(300):
             _, grads, _, _ = est.loss(pos, neg, gamma=1.0)
             opt.step(grads)

@@ -90,40 +90,6 @@ class TestAveragePrecision:
         with pytest.raises(MetricError):
             average_precision(np.array([0.1, 0.2]), np.array([0, 0]))
 
-
-class TestPrecisionRecallCurve:
-    def test_recall_monotone_and_precision_bounded(self):
-        from chadkit.evaluate import precision_recall_curve
-        rng = np.random.default_rng(11)
-        scores = rng.random(80)
-        labels = (rng.random(80) < 0.3).astype(int)
-        labels[0], labels[1] = 1, 0
-        curve = precision_recall_curve(scores, labels)
-        recalls = [p.recall for p in curve]
-        assert all(b >= a for a, b in zip(recalls, recalls[1:]))
-        assert all(0.0 <= p.precision <= 1.0 for p in curve)
-        assert recalls[-1] == 1.0
-
-    def test_step_sum_over_curve_equals_average_precision(self):
-        from chadkit.evaluate import precision_recall_curve
-        rng = np.random.default_rng(12)
-        scores = rng.random(60)
-        labels = (rng.random(60) < 0.4).astype(int)
-        labels[0], labels[1] = 1, 0
-        curve = precision_recall_curve(scores, labels)
-        ap = 0.0
-        prev = 0.0
-        for p in curve:
-            ap += (p.recall - prev) * p.precision
-            prev = p.recall
-        assert ap == pytest.approx(average_precision(scores, labels), abs=1e-12)
-
-    def test_thresholds_follow_ranking(self):
-        from chadkit.evaluate import precision_recall_curve
-        curve = precision_recall_curve(np.array([0.4, 0.1, 0.3]),
-                                       np.array([0, 1, 0]))
-        assert [p.threshold for p in curve] == [0.1, 0.3, 0.4]
-
     def test_ties_break_by_record_id_when_given(self):
         scores = np.array([0.5, 0.5, 0.9])
         labels = np.array([1, 0, 0])

@@ -5,7 +5,7 @@ import pytest
 
 from chadkit.errors import TrainingDiverged
 from chadkit.nn import (ADAM_EPS, Adam, DenseLayer, DenseStack, dropout_mask, glorot_uniform,
-                        grad_check, merge_grads, mse_loss, mse_loss_backward)
+                        grad_check, mse_loss, mse_loss_backward, pack)
 
 
 class TestDenseLayer:
@@ -72,10 +72,15 @@ class TestMseLoss:
         assert np.allclose(gxh, [[1.0, -1.0]])
 
 
+def packed_adam(lr, **arrays):
+    """An Adam over ``arrays`` packed into one vector, and the name -> view map."""
+    flat, params = pack({k: np.array(v, dtype=float) for k, v in arrays.items()})
+    return Adam(flat, params, lr), params
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params_and_advances_t(self):
-        params = {"p": np.array([1.5, -2.0])}
-        opt = Adam(params, lr=0.1)
+        opt, params = packed_adam(0.1, p=[1.5, -2.0])
         opt.step({"p": np.zeros(2)})
         assert np.array_equal(params["p"], [1.5, -2.0])
         assert opt.t == 1
@@ -83,8 +88,8 @@ class TestAdam:
     def test_first_step_matches_reference_formula(self):
         # bias-corrected first step: -lr * g / (|g| + eps * sqrt(1 - beta2))
         lr, eps, g = 1e-3, ADAM_EPS, 1.0
-        params = {"p": np.array([0.0])}
-        Adam(params, lr=lr).step({"p": np.array([g])})
+        opt, params = packed_adam(lr, p=[0.0])
+        opt.step({"p": np.array([g])})
         m_hat = (1 - 0.9) * g / (1 - 0.9)
         v_hat = (1 - 0.999) * g * g / (1 - 0.999)
         expected = -lr * m_hat / (math.sqrt(v_hat) + eps)
@@ -92,8 +97,7 @@ class TestAdam:
         assert params["p"][0] == pytest.approx(-1e-3, rel=1e-6)
 
     def test_constant_gradient_moves_monotonically(self):
-        params = {"p": np.array([0.0])}
-        opt = Adam(params, lr=0.01)
+        opt, params = packed_adam(0.01, p=[0.0])
         seen = [0.0]
         for _ in range(2):
             opt.step({"p": np.array([2.5])})
@@ -101,15 +105,34 @@ class TestAdam:
         assert seen[2] < seen[1] < seen[0]
 
     def test_non_finite_gradient_aborts(self):
-        params = {"p": np.zeros(2)}
-        opt = Adam(params, lr=0.1)
+        opt, params = packed_adam(0.1, a=np.zeros(3), p=np.zeros(2))
         with pytest.raises(TrainingDiverged, match="'p'"):
-            opt.step({"p": np.array([1.0, np.nan])})
+            opt.step({"a": np.ones(3), "p": np.array([1.0, np.nan])})
+        assert np.array_equal(opt.flat, np.zeros(5)) and opt.t == 0
 
     def test_optimizer_requires_full_gradient_cover(self):
-        opt = Adam({"a": np.zeros(2), "b": np.zeros(2)}, lr=0.1)
+        opt, _ = packed_adam(0.1, a=np.zeros(2), b=np.zeros(2))
         with pytest.raises(ValueError):
             opt.step({"a": np.ones(2)})
+
+    def test_slice_update_matches_per_array_reference_bitwise(self):
+        # the reference: the textbook expression per array, fresh temporaries
+        rng = np.random.default_rng(3)
+        arrays = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=4)}
+        opt, params = packed_adam(1e-2, **arrays)
+        ref = {k: v.copy() for k, v in arrays.items()}
+        m = {k: np.zeros_like(v) for k, v in ref.items()}
+        v2 = {k: np.zeros_like(v) for k, v in ref.items()}
+        for t in range(1, 4):
+            grads = {k: rng.normal(size=v.shape) for k, v in ref.items()}
+            opt.step(grads)
+            for k, g in grads.items():
+                m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+                v2[k] = 0.999 * v2[k] + (1.0 - 0.999) * (g * g)
+                m_hat, v_hat = m[k] / (1.0 - 0.9 ** t), v2[k] / (1.0 - 0.999 ** t)
+                ref[k] -= 1e-2 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        for k in ref:
+            assert params[k].tobytes() == ref[k].tobytes(), k
 
 
 class TestDropout:
@@ -170,12 +193,6 @@ class TestDenseStack:
         w = glorot_uniform(rng, 10, 30, (30, 10))
         limit = math.sqrt(6.0 / 40.0)
         assert np.all(np.abs(w) <= limit)
-
-    def test_merge_grads_accumulates(self):
-        dst = {"a": np.ones(2)}
-        merge_grads(dst, {"a": np.ones(2), "b": np.full(2, 3.0)}, scale=2.0)
-        assert np.array_equal(dst["a"], [3.0, 3.0])
-        assert np.array_equal(dst["b"], [6.0, 6.0])
 
     def test_backward_through_frozen_dropout_masks(self):
         # masks depend only on the rng, so reseeding per evaluation makes the

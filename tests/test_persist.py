@@ -62,11 +62,13 @@ class TestRoundTrip:
         path = tmp_path / "m.chad"
         save_model(path, model, stats)
         before = path.read_bytes()
-        params = model.params()
-        # sorts last, so the header and every real parameter are written first
-        unconvertible = dict(params, zzz=np.array(["not a number"], dtype=object))
-        monkeypatch.setattr(model, "params", lambda: unconvertible)
-        with pytest.raises(ValueError):
+        model.flat += 1.0   # other bytes than the file on disk
+
+        def disk_error(fd):
+            raise OSError("disk error")
+        # fails after the header and the whole payload are written
+        monkeypatch.setattr("chadkit.persist.os.fsync", disk_error)
+        with pytest.raises(OSError, match="disk error"):
             save_model(path, model, stats)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.chad"]
@@ -189,6 +191,15 @@ class TestCorruptFiles:
         with pytest.raises(DataError, match="malformed model header"):
             load_model(bad)
 
+    def test_params_list_must_equal_the_models(self, tmp_path, model_and_stats):
+        def swap_first_two(header):
+            params = header["params"]
+            params[0], params[1] = params[1], params[0]
+            return json.dumps(header).encode()
+        bad = self._with_header(tmp_path, model_and_stats, swap_first_two)
+        with pytest.raises(DataError, match="parameter list does not match"):
+            load_model(bad)
+
     @pytest.mark.parametrize("sizes", [[30000, 30000], [10**15, 2], [11, 5]])
     def test_layer_sizes_past_payload_rejected_before_allocating(
             self, tmp_path, model_and_stats, sizes, monkeypatch):
@@ -202,6 +213,31 @@ class TestCorruptFiles:
         monkeypatch.setattr("chadkit.persist.ChadModel", no_model)
         with pytest.raises(DataError, match="truncated payload"):
             load_model(bad)
+
+
+class TestNonFiniteContents:
+    """A non-finite weight or bound would score every row as nan without a
+    word, so load_model refuses it and names it."""
+
+    @pytest.mark.parametrize("name, value", [("ae.enc.0.W", math.nan), ("est.1.b", math.nan),
+                                             ("ae.dec.0.W", math.nan),
+                                             ("ae.emb.1", math.inf), ("est.0.W", -math.inf)])
+    def test_non_finite_parameter_refused(self, tmp_path, model_and_stats, name, value):
+        model, stats = model_and_stats
+        model.params()[name].flat[-1] = value
+        save_model(tmp_path / "m.chad", model, stats)
+        with pytest.raises(DataError, match=f"parameter {name} holds a non-finite value"):
+            load_model(tmp_path / "m.chad")
+
+    @pytest.mark.parametrize("key, index, value", [("mins", 0, math.nan),
+                                                   ("maxs", 2, math.inf)])
+    def test_non_finite_normalization_bound_refused(self, tmp_path, model_and_stats,
+                                                    key, index, value):
+        model, stats = model_and_stats
+        getattr(stats, key)[index] = value
+        save_model(tmp_path / "m.chad", model, stats)
+        with pytest.raises(DataError, match=rf"normalization.{key}\[{index}\] is not finite"):
+            load_model(tmp_path / "m.chad")
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import ctypes
+import hashlib
 import math
 import os
 import platform
@@ -11,15 +12,19 @@ import numpy as np
 import pytest
 
 from chadkit import trainer
-from chadkit.data import batch_iter
+from chadkit.data import apply_normalize, batch_iter, fit_normalize
 from chadkit.errors import ConfigError, TrainingDiverged
+from chadkit.estimator import SecondaryNoiseSpec
 from chadkit.model import ChadModel, ModelConfig
 from chadkit.negsampler import NegSamplerConfig, generate_negatives_batch
 from chadkit.nn import Adam
+from chadkit.persist import save_model
 from chadkit.seeds import child_seed, named_streams
 from chadkit.synthdata import make_clustered_dataset
 from chadkit.trainer import (TrainLog, TrainSchedule, gates_for, run_phase1,
                              run_phase2, run_phase3, train)
+
+from test_acceptance import PINNED_BUILD, _numpy_blas_build
 
 
 @pytest.fixture(scope="module")
@@ -229,7 +234,7 @@ class TestPhase3:
         run_phase3(model, toy_data, sched, neg)
 
         streams = named_streams(sched.seed)
-        opt = Adam(ref.estimator_params(), sched.learning_rate)
+        opt = Adam(*ref.group("est."), sched.learning_rate)
         for epoch in range(2):
             gamma = sched.gamma_for(3, epoch)
             for idx in batch_iter(toy_data.n, sched.batch_size,
@@ -411,3 +416,26 @@ class TestHeapThresholds:
         train(model, toy_data, TrainSchedule(phase_epochs=(1, 1, 1), **SCHED),
               NegSamplerConfig(m=2), log=log)
         assert {e["phase"] for e in log.entries} == {1, 2, 3}
+
+
+# SHA-256 of a short training whose 300-value embedding and 38 continuous
+# fields (mapped through g.W) take code paths the desk-scale pin never runs.
+# It is compared only on the numpy and BLAS build the desk pin names.
+PINNED_WIDE_SHA256 = "9ea17c68fcab858b3e1b1bc4ce39aa58e5bd9a091ac119090aeade1607acf7fc"
+
+
+def test_pinned_wide_model_hash(tmp_path):
+    build = _numpy_blas_build()
+    if not (build is not None and build[:2] == PINNED_BUILD[:2]
+            and build[2].startswith(PINNED_BUILD[2])):
+        pytest.skip(f"numpy/BLAS {build} is not the pinned {PINNED_BUILD}")
+    ds = make_clustered_dataset(600, arities=(3, 11, 70, 300), n_cont=38, seed=9)
+    stats = fit_normalize(ds)
+    ds = apply_normalize(stats, ds)
+    model = ChadModel(ds.schema, ModelConfig(), np.random.default_rng(9))
+    assert "ae.g.W" in model.params()
+    train(model, ds, TrainSchedule(phase_epochs=(2, 1, 1), batch_size=64, seed=9),
+          NegSamplerConfig(m=3), SecondaryNoiseSpec(True))
+    save_model(tmp_path / "wide.chad", model, stats)
+    assert hashlib.sha256((tmp_path / "wide.chad").read_bytes()).hexdigest() \
+        == PINNED_WIDE_SHA256
