@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import RecordSchema, as_batch
+from .data import RecordSchema
 from .errors import SchemaError
 from .nn import (Array, DenseStack, glorot_uniform, mse_loss, mse_loss_backward,
                  strip_prefix)
@@ -79,25 +79,12 @@ class FieldTransformSpec:
         return cls(tuple(obj["embed_dims"]), obj["cont_dim"], obj["cont_mode"], obj["g_dim"])
 
 
-def check_inputs(schema: RecordSchema, cat: Array, cont: Array) -> tuple[Array, Array]:
-    """(n, k) int64 and (n, r) float views of a batch, with category indices
-    checked against the schema's arities."""
-    cat, cont = as_batch(schema, cat, cont)
-    arities = np.asarray(schema.arities, dtype=np.int64)
-    bad = ((cat < 0) | (cat >= arities)).any(axis=0)
-    if bad.any():
-        w = int(np.argmax(bad))
-        raise SchemaError(f"category index out of range for field "
-                          f"{schema.cat_fields[w]!r} (arity {arities[w]})")
-    return cat, cont
-
-
 class FieldTransform:
     """Concatenation of per-field embeddings and the continuous block.
 
     ``forward`` takes an (n, k) int64 index batch and an (n, r) float64 batch
     and trusts them: indices are range-checked where they enter the program
-    (``Dataset``, ``check_inputs``), not on every training batch.
+    (``data.check_batch``), not on every training batch.
     """
 
     def __init__(self, schema: RecordSchema, spec: FieldTransformSpec,
@@ -243,7 +230,6 @@ class FoldedEncoder:
         transform = autoencoder.transform
         first, *self.rest = autoencoder.encoder.layers
         offsets = np.cumsum([0, *transform.spec.embed_dims])
-        self.schema = autoencoder.schema
         self.tables = [E @ first.W[:, lo:hi].T
                        for E, lo, hi in zip(transform.embeddings, offsets[:-1], offsets[1:])]
         w_cont = first.W[:, offsets[-1]:]
@@ -263,11 +249,3 @@ class FoldedEncoder:
         for layer in self.rest:
             h, _ = layer.forward(h)
         return h
-
-    def encode_chunks(self, cat: Array, cont: Array, rows: int):
-        """Latent vectors of consecutive ``rows``-row slices of raw input, one
-        array per slice (one empty array for an empty input). The input is
-        checked here, once per call."""
-        cat, cont = check_inputs(self.schema, cat, cont)
-        for start in range(0, max(cat.shape[0], 1), rows):
-            yield self.encode(cat[start:start + rows], cont[start:start + rows])

@@ -476,22 +476,30 @@ def build_parser() -> argparse.ArgumentParser:
                                                  "for heterogeneous tabular data")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config path")
-        p.add_argument("--seed", type=int, help="root random seed (overrides config)")
-        p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--model", help="model file path")
-        p.add_argument("--data", help="data CSV path")
-        p.set_defaults(fn=fn)
-        return p
+    flags = {
+        "config": {"help": "JSON config path"},
+        "seed": {"type": int, "help": "root random seed (overrides config)"},
+        "model": {"help": "model file path"},
+        "data": {"help": "data CSV path"},
+    }
 
-    add("train", cmd_train, "train a detector from a config")
-    add("score", cmd_score, "score a CSV with a trained model")
-    add("eval", cmd_eval, "synthetic-anomaly evaluation of a trained model")
-    add("bench-concept", cmd_bench_concept, "run the 2-D concept benchmark")
-    add("viz-latent", cmd_viz_latent, "project latent vectors to 2-D CSV")
-    add("negsample-dump", cmd_negsample_dump, "dump generated negatives as CSV")
+    def add(name, fn, help_text, names, out_help="output directory (overrides config)"):
+        # a subcommand takes only the flags it reads, so an ignored one exits 2
+        p = sub.add_parser(name, help=help_text)
+        for flag in names.split():
+            p.add_argument(f"--{flag}", **flags[flag])
+        p.add_argument("--out", help=out_help)
+        p.set_defaults(fn=fn)
+
+    add("train", cmd_train, "train a detector from a config", "config seed")
+    add("score", cmd_score, "score a CSV with a trained model", "model data",
+        "scores CSV path")
+    add("eval", cmd_eval, "synthetic-anomaly evaluation of a trained model", "config seed")
+    add("bench-concept", cmd_bench_concept, "run the 2-D concept benchmark", "config seed")
+    add("viz-latent", cmd_viz_latent, "project latent vectors to 2-D CSV",
+        "config seed model data")
+    add("negsample-dump", cmd_negsample_dump, "dump generated negatives as CSV",
+        "config seed")
     return parser
 
 

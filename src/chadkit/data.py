@@ -22,25 +22,6 @@ from .errors import DataError, SchemaError
 Array = np.ndarray
 
 
-def as_matrix(x, width: int, rows: int | None = None, dtype=float) -> Array:
-    """View ``x`` as a (n, width) matrix; zero-width blocks need ``rows``."""
-    x = np.asarray(x, dtype=dtype)
-    if width == 0:
-        n = x.shape[0] if x.ndim == 2 else (rows if rows is not None else 0)
-        return x.reshape(n, 0)
-    return x.reshape(-1, width)
-
-
-def as_batch(schema: RecordSchema, cat, cont) -> tuple[Array, Array]:
-    """(n, k) int64 and (n, r) float views of a batch; n comes from the
-    categorical block, or from the continuous one when the schema has none."""
-    if schema.k > 0:
-        cat = as_matrix(cat, schema.k, dtype=np.int64)
-        return cat, as_matrix(cont, schema.r, rows=cat.shape[0])
-    cont = as_matrix(cont, schema.r)
-    return as_matrix(cat, 0, rows=cont.shape[0], dtype=np.int64), cont
-
-
 class RecordSchema:
     """Field layout plus per-categorical-field vocabulary.
 
@@ -104,6 +85,33 @@ class RecordSchema:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def check_batch(schema: RecordSchema, cat, cont) -> tuple[Array, Array]:
+    """A batch of records as (n, k) int64 and (n, r) float64 arrays, checked
+    against ``schema``: both blocks 2-D and as wide as its fields, with equal
+    row counts and every category index inside its field's vocabulary.
+
+    This is the one check of raw record arrays; below it, the training and
+    scoring code trusts them.
+    """
+    cat = np.asarray(cat, dtype=np.int64)
+    cont = np.asarray(cont, dtype=float)
+    for name, block, width in (("categorical", cat, schema.k), ("continuous", cont, schema.r)):
+        if block.ndim != 2 or block.shape[1] != width:
+            raise SchemaError(f"{name} block has shape {block.shape}, expected "
+                              f"(rows, {width}) for the schema's {width} {name} fields")
+    if cat.shape[0] != cont.shape[0]:
+        raise SchemaError(f"categorical and continuous row counts differ "
+                          f"({cat.shape[0]} and {cont.shape[0]})")
+    arities = np.asarray(schema.arities)
+    # whole-block reductions are several times faster than per-field ones at
+    # a handful of fields; the field is looked up only once a check failed
+    if cat.size and (cat.min() < 0 or (cat >= arities).any()):
+        w = int(np.argmax(((cat < 0) | (cat >= arities)).any(axis=0)))
+        raise SchemaError(f"category index out of range for field "
+                          f"{schema.cat_fields[w]!r} (arity {arities[w]})")
+    return cat, cont
+
+
 @dataclass
 class Dataset:
     schema: RecordSchema
@@ -113,20 +121,17 @@ class Dataset:
     ids: Array | None = None     # (n,) int64
 
     def __post_init__(self):
-        self.cat = np.asarray(self.cat, dtype=np.int64).reshape(len(self.cat), self.schema.k)
-        self.cont = np.asarray(self.cont, dtype=float).reshape(len(self.cont), self.schema.r)
-        if self.cat.shape[0] != self.cont.shape[0]:
-            raise SchemaError("categorical and continuous row counts differ")
+        self.cat, self.cont = check_batch(self.schema, self.cat, self.cont)
         if self.ids is None:
             self.ids = np.arange(self.n, dtype=np.int64)
         else:
             self.ids = np.asarray(self.ids, dtype=np.int64)
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int8)
-        for w, a in enumerate(self.schema.arities):
-            if self.n and self.schema.k and (self.cat[:, w].min() < 0 or self.cat[:, w].max() >= a):
-                raise SchemaError(f"category index out of range for field "
-                                  f"{self.schema.cat_fields[w]!r} (arity {a})")
+        for name, column in (("ids", self.ids), ("labels", self.labels)):
+            if column is not None and column.shape != (self.n,):
+                raise SchemaError(f"{name} has shape {column.shape}, expected ({self.n},) "
+                                  f"for {self.n} records")
 
     @property
     def n(self) -> int:
@@ -489,11 +494,11 @@ def apply_normalize(stats: NormalizationStats, dataset: Dataset) -> Dataset:
     return Dataset(dataset.schema, dataset.cat.copy(), cont, dataset.labels, dataset.ids)
 
 
-def batch_iter(n_or_dataset, batch_size: int, seed: int):
-    """Yield index arrays covering one shuffled epoch; final partial batch kept."""
+def batch_iter(n: int, batch_size: int, seed: int):
+    """Yield index arrays covering one shuffled epoch of ``n`` rows; final
+    partial batch kept."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    n = n_or_dataset.n if isinstance(n_or_dataset, Dataset) else int(n_or_dataset)
     order = np.random.default_rng(seed).permutation(n)
     for start in range(0, n, batch_size):
         yield order[start:start + batch_size]

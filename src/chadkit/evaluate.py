@@ -41,13 +41,12 @@ def score_dataset(model: ChadModel, dataset: Dataset) -> ScoredRecords:
                          else dataset.labels.copy())
 
 
-def average_precision(scores, labels, anomaly_is_low_score: bool = True,
-                      ids=None) -> float:
+def average_precision(scores, labels, anomaly_is_low_score: bool = True) -> float:
     """Area under the precision-recall curve as a step-interpolated sum.
 
     ``labels`` marks anomalies with 1; anomalies are ranked first (lowest
-    score first by default). Tied scores keep the input position order, or
-    ascending ``ids`` when given. Requires both classes to be present.
+    score first by default). Tied scores keep the input position order.
+    Requires both classes to be present.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
@@ -57,10 +56,7 @@ def average_precision(scores, labels, anomaly_is_low_score: bool = True,
     if n_pos == 0 or n_pos == len(labels):
         raise MetricError("precision-recall analysis needs both classes present")
     keys = scores if anomaly_is_low_score else -scores
-    if ids is None:
-        order = np.argsort(keys, kind="stable")
-    else:
-        order = np.lexsort((np.asarray(ids), keys))
+    order = np.argsort(keys, kind="stable")
     hits = labels[order] == 1
     tp = np.cumsum(hits)
     ranks = np.arange(1, len(hits) + 1)

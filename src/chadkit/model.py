@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autoencoder import Autoencoder, FieldTransformSpec, FoldedEncoder
-from .data import Dataset, RecordSchema
+from .data import Dataset, RecordSchema, check_batch
 from .errors import SchemaError
 from .estimator import Estimator
 from .nn import Array, pack, strip_prefix
@@ -141,7 +141,13 @@ class ChadModel:
         return np.concatenate(list(self._latent_chunks(cat, cont)))
 
     def _latent_chunks(self, cat: Array, cont: Array):
-        return FoldedEncoder(self.autoencoder).encode_chunks(cat, cont, SCORE_CHUNK_ROWS)
+        """Latent vectors of consecutive SCORE_CHUNK_ROWS-row slices of a raw
+        batch, one array per slice (one empty array for an empty batch)."""
+        cat, cont = check_batch(self.schema, cat, cont)
+        encoder = FoldedEncoder(self.autoencoder)
+        for start in range(0, max(cat.shape[0], 1), SCORE_CHUNK_ROWS):
+            stop = start + SCORE_CHUNK_ROWS
+            yield encoder.encode(cat[start:stop], cont[start:stop])
 
     def score_records(self, cat: Array, cont: Array) -> Array:
         """Likelihood score per record, dropout off; checked like ``encode``."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RecordSchema, as_batch
+from .data import RecordSchema
 from .errors import ConfigError, SchemaError
 
 Array = np.ndarray
@@ -131,12 +131,14 @@ def generate_negatives_batch(cat: Array, cont: Array, config: NegSamplerConfig,
                              schema: RecordSchema, rng: np.random.Generator):
     """m negatives for each of n records; returns ((n*m, k), (n*m, r)).
 
-    The per-sample categorical count is drawn uniformly from
+    ``cat`` and ``cont`` are an in-range (n, k) int64 and (n, r) float64
+    batch, such as a ``Dataset``'s rows, and are trusted like the losses'
+    inputs; only the schema is checked, for something to perturb. The
+    per-sample categorical count is drawn uniformly from
     {1, ..., max(1, floor(k/2))}, fresh for every negative; the categorical
     pass runs only when some field has at least two values.
     """
     check_sampler_schema(schema)
-    cat, cont = as_batch(schema, cat, cont)
     n = cat.shape[0]
     s = n * config.m
     rep_cat = np.repeat(cat, config.m, axis=0)

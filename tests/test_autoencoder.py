@@ -185,6 +185,23 @@ class TestAutoencoder:
         assert all(l.activation == "tanh" for l in ae.decoder.layers[:-1])
 
 
+# (cat, cont, message) batches that a schema_with((3, 4), 2) model must refuse;
+# none of them may be reshaped into records
+_GOOD_CAT, _GOOD_CONT = np.zeros((1, 2), dtype=np.int64), np.full((1, 2), 0.5)
+BAD_BATCHES = [
+    (np.array([[3, 0]]), _GOOD_CONT, r"out of range for field 'c0' \(arity 3\)"),
+    (np.array([[0, -1]]), _GOOD_CONT, r"out of range for field 'c1'"),
+    (np.array([[0, 4]]), _GOOD_CONT, r"out of range for field 'c1' \(arity 4\)"),
+    (np.zeros((2, 1), dtype=np.int64), _GOOD_CONT, r"categorical block has shape \(2, 1\)"),
+    (np.zeros((1, 3), dtype=np.int64), _GOOD_CONT, r"categorical block has shape \(1, 3\)"),
+    (_GOOD_CAT, np.full((2, 1), 0.5), r"continuous block has shape \(2, 1\)"),
+    (_GOOD_CAT, np.full((1, 4), 0.5), r"continuous block has shape \(1, 4\)"),
+    (np.zeros((2, 2), dtype=np.int64), _GOOD_CONT, r"row counts differ \(2 and 1\)"),
+    (np.zeros(2, dtype=np.int64), _GOOD_CONT, r"categorical block has shape \(2,\)"),
+    (_GOOD_CAT, np.full(2, 0.5), r"continuous block has shape \(2,\)"),
+]
+
+
 class TestFoldedEncoder:
     @pytest.mark.parametrize("arities, r", [
         ((3, 7, 12), 5),       # identity continuous block
@@ -210,12 +227,24 @@ class TestFoldedEncoder:
 
     def test_out_of_range_index_raises_through_score_records(self):
         from chadkit.model import ChadModel
-        schema = schema_with((3, 4), 2)
-        model = ChadModel(schema, ModelConfig(encoder_sizes=(8, 4)), np.random.default_rng(0))
-        cont = np.full((1, 2), 0.5)
-        for bad in ([[3, 0]], [[0, -1]], [[0, 4]]):
-            with pytest.raises(SchemaError, match="out of range"):
-                model.score_records(np.array(bad), cont)
+        model = ChadModel(schema_with((3, 4), 2), ModelConfig(encoder_sizes=(8, 4)),
+                          np.random.default_rng(0))
+        for cat, cont, message in BAD_BATCHES:
+            for entry in (model.score_records, model.encode):
+                with pytest.raises(SchemaError, match=message):
+                    entry(cat, cont)
+
+
+def test_bad_batch_raises_through_dataset():
+    from chadkit.data import Dataset
+    schema = schema_with((3, 4), 2)
+    for cat, cont, message in BAD_BATCHES:
+        with pytest.raises(SchemaError, match=message):
+            Dataset(schema, cat, cont)
+    for field in ("ids", "labels"):
+        for bad in ([0, 1], [], [[0]]):
+            with pytest.raises(SchemaError, match=f"{field} has shape"):
+                Dataset(schema, _GOOD_CAT, _GOOD_CONT, **{field: bad})
 
 
 class TestChunkedScoring:

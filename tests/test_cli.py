@@ -301,6 +301,18 @@ class TestScore:
         assert rc == 2
 
 
+@pytest.mark.parametrize("command, flag", [
+    *[(command, flag) for command in ("train", "eval", "bench-concept", "negsample-dump")
+      for flag in ("--model", "--data")],
+    ("score", "--config"), ("score", "--seed"),
+])
+def test_flag_the_subcommand_ignores_exits_2(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
 def test_cli_import_leaves_out_scipy_stats():
     src = Path(__file__).resolve().parents[1] / "src"
     code = "import sys, chadkit.cli; print('scipy.stats' in sys.modules)"

@@ -90,13 +90,11 @@ class TestAveragePrecision:
         with pytest.raises(MetricError):
             average_precision(np.array([0.1, 0.2]), np.array([0, 0]))
 
-    def test_ties_break_by_record_id_when_given(self):
+    def test_ties_keep_input_order(self):
         scores = np.array([0.5, 0.5, 0.9])
         labels = np.array([1, 0, 0])
-        # positional order puts the positive first; id order reverses the tie
+        # positional order puts the positive first
         assert average_precision(scores, labels) == 1.0
-        flipped = average_precision(scores, labels, ids=np.array([7, 3, 1]))
-        assert flipped == pytest.approx(0.5)
 
 
 class TestScoreDataset:
