@@ -6,7 +6,7 @@ contrast against generated negative samples, to score how likely a record
 is under the nominal data distribution. Low scores flag anomalies.
 """
 
-from .autoencoder import Autoencoder, FieldTransform, FieldTransformSpec
+from .autoencoder import Autoencoder, FieldTransform
 from .data import (
     Dataset,
     LoadReport,
@@ -48,7 +48,7 @@ from .trainer import TrainLog, TrainSchedule, run_phase1, run_phase2, run_phase3
 __version__ = "0.1.0"
 
 __all__ = [
-    "Autoencoder", "FieldTransform", "FieldTransformSpec",
+    "Autoencoder", "FieldTransform",
     "Dataset", "LoadReport", "NormalizationStats", "RecordSchema",
     "apply_normalize", "batch_iter", "filter_rare_entities", "fit_normalize",
     "load_csv",

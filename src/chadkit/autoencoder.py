@@ -9,13 +9,11 @@ a sigmoid output layer reconstructs the concatenated representation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import RecordSchema
-from .errors import SchemaError
 from .nn import (Array, DenseStack, glorot_uniform, mse_loss, mse_loss_backward,
                  strip_prefix)
 
@@ -28,55 +26,15 @@ def default_embed_dim(arity: int, cap: int) -> int:
     return min(int(math.ceil(math.sqrt(arity))) + 1, cap)
 
 
-@dataclass
-class FieldTransformSpec:
-    """Widths of the per-field input transforms.
-
-    ``embed_dims`` has one entry per categorical field. The continuous block
-    is passed through unchanged ("identity") unless it is wider than the
-    model's ``cont_threshold``, in which case a learned linear map to
-    ``g_dim`` is used ("linear").
-    """
-
-    embed_dims: tuple[int, ...]
-    cont_dim: int
-    cont_mode: str
-    g_dim: int
-
-    def __post_init__(self):
-        self.embed_dims = tuple(int(e) for e in self.embed_dims)
-        if any(e < 1 for e in self.embed_dims):
-            raise ValueError("embedding dims must be >= 1")
-        if self.cont_mode not in ("identity", "linear"):
-            raise ValueError(f"unknown continuous mode {self.cont_mode!r}")
-
-    @classmethod
-    def for_schema(cls, schema: RecordSchema, config: ModelConfig) -> "FieldTransformSpec":
-        """The transform widths ``config`` gives ``schema``'s fields."""
-        mode = "linear" if schema.r > config.cont_threshold else "identity"
-        return cls(
-            embed_dims=tuple(default_embed_dim(a, config.embed_cap) for a in schema.arities),
-            cont_dim=schema.r,
-            cont_mode=mode,
-            g_dim=config.g_dim,
-        )
-
-    @property
-    def output_dim(self) -> int:
-        cont = self.g_dim if self.cont_mode == "linear" else self.cont_dim
-        return sum(self.embed_dims) + cont
-
-    def to_json(self) -> dict:
-        return {
-            "embed_dims": list(self.embed_dims),
-            "cont_dim": self.cont_dim,
-            "cont_mode": self.cont_mode,
-            "g_dim": self.g_dim,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FieldTransformSpec":
-        return cls(tuple(obj["embed_dims"]), obj["cont_dim"], obj["cont_mode"], obj["g_dim"])
+def field_widths(schema: RecordSchema, config: ModelConfig) -> tuple[tuple[int, ...], int, bool]:
+    """The transform widths ``config`` gives ``schema``'s fields: one embedding
+    width per categorical field, the continuous block's output width, and
+    whether a learned linear map ``g.W`` gives it. A block wider than
+    ``cont_threshold`` is mapped to ``g_dim``; a narrower one passes through
+    unchanged."""
+    mapped = schema.r > config.cont_threshold
+    return (tuple(default_embed_dim(a, config.embed_cap) for a in schema.arities),
+            config.g_dim if mapped else schema.r, mapped)
 
 
 class FieldTransform:
@@ -87,26 +45,18 @@ class FieldTransform:
     (``data.check_batch``), not on every training batch.
     """
 
-    def __init__(self, schema: RecordSchema, spec: FieldTransformSpec,
-                 rng: np.random.Generator):
-        if len(spec.embed_dims) != schema.k:
-            raise SchemaError("spec embedding count does not match schema")
-        if spec.cont_dim != schema.r:
-            raise SchemaError("spec continuous width does not match schema")
+    def __init__(self, schema: RecordSchema, config: ModelConfig, rng: np.random.Generator):
         self.schema = schema
-        self.spec = spec
+        self.embed_dims, cont_width, mapped = field_widths(schema, config)
+        self.output_dim = sum(self.embed_dims) + cont_width
         self.embeddings = [
             glorot_uniform(rng, a, e, (a, e))
-            for a, e in zip(schema.arities, spec.embed_dims)
+            for a, e in zip(schema.arities, self.embed_dims)
         ]
-        if spec.cont_mode == "linear":
-            self.g_weight = glorot_uniform(rng, schema.r, spec.g_dim, (spec.g_dim, schema.r))
+        if mapped:
+            self.g_weight = glorot_uniform(rng, schema.r, cont_width, (cont_width, schema.r))
         else:
             self.g_weight = None
-
-    @property
-    def output_dim(self) -> int:
-        return self.spec.output_dim
 
     def forward(self, cat: Array, cont: Array):
         blocks = [self.embeddings[w][cat[:, w]] for w in range(self.schema.k)]
@@ -121,7 +71,7 @@ class FieldTransform:
         cat, cont = cache
         grads: dict[str, Array] = {}
         offset = 0
-        for w, (a, e) in enumerate(zip(self.schema.arities, self.spec.embed_dims)):
+        for w, (a, e) in enumerate(zip(self.schema.arities, self.embed_dims)):
             # row i's gradient for column j lands on key index * e + j; bincount
             # adds each key's rows in row order, as a scatter-add would
             keys = cat[:, w, None] * e + np.arange(e)
@@ -130,8 +80,7 @@ class FieldTransform:
                                             minlength=a * e).reshape(a, e)
             offset += e
         if self.g_weight is not None:
-            block = grad_xt[:, offset:offset + self.spec.g_dim]
-            grads["g.W"] = block.T @ cont
+            grads["g.W"] = grad_xt[:, offset:].T @ cont
         return grads
 
     def params(self) -> dict[str, Array]:
@@ -150,35 +99,30 @@ class FieldTransform:
 class Autoencoder:
     """Field transform + tanh encoder pyramid + dense decoder.
 
-    The decoder mirrors the encoder's hidden widths and ends in a sigmoid,
-    so reconstructions live in the open unit interval. Dropout applies to
-    hidden activations during training only.
+    The encoder's widths are ``config.encoder_sizes``; the decoder mirrors its
+    hidden widths and ends in a sigmoid, so reconstructions live in the open
+    unit interval. Dropout at rate ``config.dropout_ae`` applies to hidden
+    activations when a dropout ``rng`` is passed, and only then.
     """
 
-    def __init__(self, schema: RecordSchema, spec: FieldTransformSpec,
-                 encoder_sizes, dropout: float, rng: np.random.Generator):
+    def __init__(self, schema: RecordSchema, config: ModelConfig, rng: np.random.Generator):
         self.schema = schema
-        self.transform = FieldTransform(schema, spec, rng)
+        self.transform = FieldTransform(schema, config, rng)
         d_t = self.transform.output_dim
-        enc_sizes = [d_t, *encoder_sizes]
-        self.encoder = DenseStack(enc_sizes, ["tanh"] * (len(enc_sizes) - 1), dropout, rng)
-        dec_hidden = list(reversed(encoder_sizes[:-1]))
-        dec_sizes = [encoder_sizes[-1], *dec_hidden, d_t]
+        sizes = config.encoder_sizes
+        enc_sizes = [d_t, *sizes]
+        self.encoder = DenseStack(enc_sizes, ["tanh"] * len(sizes), config.dropout_ae, rng)
+        dec_hidden = list(reversed(sizes[:-1]))
+        dec_sizes = [sizes[-1], *dec_hidden, d_t]
         activations = ["tanh"] * len(dec_hidden) + ["sigmoid"]
-        self.decoder = DenseStack(dec_sizes, activations, dropout, rng)
-        self.encoder_sizes = tuple(encoder_sizes)
+        self.decoder = DenseStack(dec_sizes, activations, config.dropout_ae, rng)
 
-    @property
-    def latent_dim(self) -> int:
-        return self.encoder_sizes[-1]
-
-    def encode(self, cat: Array, cont: Array, train: bool = False,
-               rng: np.random.Generator | None = None):
+    def encode(self, cat: Array, cont: Array, rng: np.random.Generator | None = None):
         x_t, ft_cache = self.transform.forward(cat, cont)
-        x_e, enc_caches = self.encoder.forward(x_t, train, rng)
+        x_e, enc_caches = self.encoder.forward(x_t, rng)
         return x_e, (ft_cache, enc_caches, x_t)
 
-    def reconstruction_loss(self, cat: Array, cont: Array, train: bool = False,
+    def reconstruction_loss(self, cat: Array, cont: Array,
                             rng: np.random.Generator | None = None):
         """Mean squared error between the transformed input and its
         reconstruction, with gradients for every autoencoder parameter.
@@ -186,8 +130,8 @@ class Autoencoder:
         The transformed input is itself a function of the embeddings, so the
         target side contributes gradient too.
         """
-        x_e, (ft_cache, enc_caches, x_t) = self.encode(cat, cont, train, rng)
-        x_hat, dec_caches = self.decoder.forward(x_e, train, rng)
+        x_e, (ft_cache, enc_caches, x_t) = self.encode(cat, cont, rng)
+        x_hat, dec_caches = self.decoder.forward(x_e, rng)
         loss = mse_loss(x_t, x_hat)
         g_xt_target, g_xhat = mse_loss_backward(x_t, x_hat)
         g_xe, dec_grads = self.decoder.backward(dec_caches, g_xhat)
@@ -229,7 +173,7 @@ class FoldedEncoder:
     def __init__(self, autoencoder: Autoencoder):
         transform = autoencoder.transform
         first, *self.rest = autoencoder.encoder.layers
-        offsets = np.cumsum([0, *transform.spec.embed_dims])
+        offsets = np.cumsum([0, *transform.embed_dims])
         self.tables = [E @ first.W[:, lo:hi].T
                        for E, lo, hi in zip(transform.embeddings, offsets[:-1], offsets[1:])]
         w_cont = first.W[:, offsets[-1]:]

@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .autoencoder import FieldTransformSpec
 from .data import (RecordSchema, apply_normalize, filter_rare_entities, fit_normalize,
                    load_csv, read_csv_header, read_schema_file)
 from .errors import (ChadkitError, ConfigError, DataError, MetricError, SchemaError,
@@ -77,7 +76,7 @@ CONFIG_TABLES = {
                     "box_expand": "number"},
         "seeds": "seeds", **_RUN},
     "viz-latent": {"model": "file", "data": "file", "source": "str", "label_field": "str",
-                   **_RUN},
+                   "out_dir": "str"},
     "negsample-dump": {"schema": "file!", "data": "file!", "rows": "int",
                        "negatives": _NEGATIVES, "min_count": "int", **_RUN},
 }
@@ -137,8 +136,10 @@ def _problems(obj, table: dict, where: str) -> list[str]:
     return problems
 
 
-def _config(args) -> tuple[dict, int]:
-    """The subcommand's config checked against its table, and the run's seed."""
+def _config(args) -> dict:
+    """The subcommand's config checked against its table. Where the table has
+    a seed, "seed" holds the run's seed (--seed, else the config's, else 0),
+    so the returned config reproduces the run."""
     table = CONFIG_TABLES[args.command]
     config = {}
     if args.config:
@@ -155,10 +156,11 @@ def _config(args) -> tuple[dict, int]:
     problems = _problems(config, table, "config")
     if problems:
         raise ConfigError(problems)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return config, seed
+    if "seed" in table:
+        config["seed"] = args.seed if args.seed is not None else config.get("seed", 0)
+        if config["seed"] < 0:
+            raise ConfigError(f"seed must be >= 0, got {config['seed']}")
+    return config
 
 
 def _build(cls, obj: dict, where: str):
@@ -222,7 +224,8 @@ def _load_training(config: dict, data_key: str):
 
 
 def cmd_train(args) -> int:
-    config, seed = _config(args)
+    config = _config(args)
+    seed = config["seed"]
     model_config = _build(ModelConfig, config.get("model", {}), "model")
     schedule = _build(TrainSchedule, {**config.get("train", {}), "seed": seed}, "train")
     neg_config = _build(NegSamplerConfig, config.get("negatives", {}), "negatives")
@@ -230,14 +233,13 @@ def cmd_train(args) -> int:
     out = _out_dir(config, args)
     dataset, stats, report = _load_training(config, "train_data")
     check_sampler_schema(dataset.schema)   # as train() does, but before out is made
-    spec = FieldTransformSpec.for_schema(dataset.schema, model_config)
-    count = parameter_count(dataset.schema, model_config, spec)
+    count = parameter_count(dataset.schema, model_config)
     if count > MAX_PARAMETERS:
         raise ConfigError(f"model: {count} parameters exceed the limit of {MAX_PARAMETERS}; "
                           f"reduce model.encoder_sizes, model.embed_cap or model.g_dim")
     _make_dir(out)
 
-    model = ChadModel(dataset.schema, model_config, named_streams(seed)["init"], spec)
+    model = ChadModel(dataset.schema, model_config, named_streams(seed)["init"])
     log = TrainLog()
 
     def checkpoint(phase, mdl):
@@ -250,7 +252,7 @@ def cmd_train(args) -> int:
     _write_json(out / "load_report.json", report.to_json())
     _write_json(out / "vocab.json", {"vocabs": dataset.schema.to_json()["vocabs"]})
     _write_json(out / "normalization.json", stats.to_json())
-    _write_json(out / "resolved_config.json", {**config, "seed": seed})
+    _write_json(out / "resolved_config.json", config)
     print(f"trained model written to {out / 'model.chad'}")
     return EXIT_OK
 
@@ -330,7 +332,8 @@ def _synthetic_eval(model, test_set, fraction: float, percentages, seeds, seed: 
 
 
 def cmd_eval(args) -> int:
-    config, seed = _config(args)
+    config = _config(args)
+    seed = config["seed"]
     fraction = float(config.get("anomaly_fraction", 0.1))
     percentages = config.get("percentages", [])
     if not (0 < fraction <= 1 and all(0 < p < 100 for p in percentages)):
@@ -346,7 +349,7 @@ def cmd_eval(args) -> int:
         raise MetricError(f"{err}; {config['test_data']}: "
                           f"{_rows_summary(load_report)}") from None
     _make_dir(out)
-    report.update(config={**config, "seed": seed}, load_report=load_report.to_json())
+    report.update(config=config, load_report=load_report.to_json())
 
     if percentages:
         with open(out / "vary_anomaly.csv", "w", newline="") as f:
@@ -370,7 +373,8 @@ def cmd_bench_concept(args) -> int:
     from .conceptbench import (ConceptConfig, GammaClusterSpec, GaussianBlobSpec,
                                gen_concept_data, run_concept_bench)
 
-    config, seed = _config(args)
+    config = _config(args)
+    seed = config["seed"]
     concept = dict(config.get("concept", {}))
     for key, spec in (("clusters", GammaClusterSpec), ("blobs", GaussianBlobSpec)):
         if key in concept:
@@ -396,7 +400,7 @@ def cmd_bench_concept(args) -> int:
         for (x, y), lab in zip(points, labels):
             writer.writerow([f"{x:.6f}", f"{y:.6f}", int(lab)])
     _write_json(out / "concept_summary.json",
-                {"config": {**config, "seed": seed}, "seeds": [int(s) for s in seeds],
+                {"config": config, "seeds": [int(s) for s in seeds],
                  "summary": summary})
     for method, row in sorted(summary.items()):
         print(f"{method:12s} AP {row['ap_mean']:.4f} +/- {row['ap_sd']:.4f}")
@@ -407,7 +411,7 @@ def cmd_bench_concept(args) -> int:
 
 
 def cmd_viz_latent(args) -> int:
-    config, seed = _config(args)
+    config = _config(args)
     model_path = args.model or config.get("model")
     data_path = args.data or config.get("data")
     problems = [f"{what} file not found: {path}" if path else
@@ -431,7 +435,7 @@ def cmd_viz_latent(args) -> int:
     points, _ = latent_projection(vectors)
     path = out / f"projection_{source}.csv"
     write_projection_csv(path, points, dataset.labels)
-    _write_json(out / "projection_config.json", {**config, "seed": seed})
+    _write_json(out / "projection_config.json", config)
     print(f"projection written to {path}")
     return EXIT_OK
 
@@ -440,14 +444,14 @@ def cmd_viz_latent(args) -> int:
 
 
 def cmd_negsample_dump(args) -> int:
-    config, seed = _config(args)
+    config = _config(args)
     neg_config = _build(NegSamplerConfig, config.get("negatives", {}), "negatives")
     out = _out_dir(config, args)
     dataset, _, _ = _load_training(config, "data")
     _make_dir(out)
     head = dataset.subset(np.arange(min(config.get("rows", 3), dataset.n)))
 
-    rng = named_streams(seed)["negsampler"]
+    rng = named_streams(config["seed"])["negsampler"]
     neg_cat, neg_cont = generate_negatives_batch(head.cat, head.cont, neg_config,
                                                  dataset.schema, rng)
     schema = dataset.schema
@@ -462,7 +466,7 @@ def cmd_negsample_dump(args) -> int:
                     for w in range(schema.k)]
             conts = [f"{v:.6f}" for v in neg_cont[i]]
             writer.writerow([src, i % neg_config.m, *cats, *conts])
-    _write_json(out / "negsample_config.json", {**config, "seed": seed})
+    _write_json(out / "negsample_config.json", config)
     print(f"{neg_cat.shape[0]} negatives written to {path}")
     return EXIT_OK
 
@@ -497,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("eval", cmd_eval, "synthetic-anomaly evaluation of a trained model", "config seed")
     add("bench-concept", cmd_bench_concept, "run the 2-D concept benchmark", "config seed")
     add("viz-latent", cmd_viz_latent, "project latent vectors to 2-D CSV",
-        "config seed model data")
+        "config model data")
     add("negsample-dump", cmd_negsample_dump, "dump generated negatives as CSV",
         "config seed")
     return parser

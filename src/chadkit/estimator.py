@@ -61,18 +61,17 @@ class Estimator:
 
     def __init__(self, latent_dim: int, dropout: float, rng: np.random.Generator):
         hidden = max(1, latent_dim // 2)
-        self.latent_dim = latent_dim
         self.stack = DenseStack([latent_dim, hidden, 1], ["tanh", "sigmoid"], dropout, rng)
 
-    def likelihood(self, x_e: Array, train: bool = False,
-                   rng: np.random.Generator | None = None):
-        """Posterior-style score in (0, 1) for each latent vector."""
-        out, caches = self.stack.forward(np.atleast_2d(x_e), train, rng)
+    def likelihood(self, x_e: Array, rng: np.random.Generator | None = None):
+        """Posterior-style score in (0, 1) for each latent vector, with
+        dropout when a dropout ``rng`` is passed."""
+        out, caches = self.stack.forward(np.atleast_2d(x_e), rng)
         return out[:, 0], caches
 
     def score(self, x_e: Array) -> Array:
         """Inference-mode likelihood (dropout off)."""
-        f, _ = self.likelihood(x_e, train=False)
+        f, _ = self.likelihood(x_e)
         return f
 
     def penultimate(self, x_e: Array) -> Array:
@@ -81,7 +80,7 @@ class Estimator:
         return out
 
     def loss(self, pos_latents: Array, neg_latents: Array, gamma: float,
-             train: bool = False, rng: np.random.Generator | None = None):
+             rng: np.random.Generator | None = None):
         """Contrastive loss over a batch, plus gradients.
 
         ``neg_latents`` is (B, K, p), already noise-injected if noise is on.
@@ -89,8 +88,8 @@ class Estimator:
         caller can keep pushing the gradient into the encoder.
         """
         b, k, p = neg_latents.shape
-        f_pos, pos_caches = self.likelihood(pos_latents, train, rng)
-        f_neg_flat, neg_caches = self.likelihood(neg_latents.reshape(b * k, p), train, rng)
+        f_pos, pos_caches = self.likelihood(pos_latents, rng)
+        f_neg_flat, neg_caches = self.likelihood(neg_latents.reshape(b * k, p), rng)
         loss, d_pos, d_neg = contrastive_loss_terms(f_pos, f_neg_flat.reshape(b, k), gamma)
 
         g_pos_in, pos_grads = self.stack.backward(pos_caches, d_pos[:, None])

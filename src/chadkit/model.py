@@ -7,11 +7,11 @@ the three loss entry points the training schedule gates between in phases
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .autoencoder import Autoencoder, FieldTransformSpec, FoldedEncoder
+from .autoencoder import Autoencoder, FoldedEncoder, field_widths
 from .data import Dataset, RecordSchema, check_batch
 from .errors import SchemaError
 from .estimator import Estimator
@@ -50,29 +50,26 @@ class ModelConfig:
         return self.encoder_sizes[-1]
 
     def to_json(self) -> dict:
-        return {
-            "encoder_sizes": list(self.encoder_sizes),
-            "embed_cap": self.embed_cap,
-            "cont_threshold": self.cont_threshold,
-            "g_dim": self.g_dim,
-            "dropout_ae": self.dropout_ae,
-            "dropout_est": self.dropout_est,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":
-        return cls(tuple(obj["encoder_sizes"]), obj["embed_cap"], obj["cont_threshold"],
-                   obj["g_dim"], obj["dropout_ae"], obj["dropout_est"])
+        """The config ``to_json`` wrote; a missing or an unknown key raises
+        ValueError, so no key silently takes its default."""
+        names = {f.name for f in fields(cls)}
+        if set(obj) != names:
+            raise ValueError(f"model_config keys {sorted(obj)} are not {sorted(names)}")
+        return cls(**obj)
 
 
-def parameter_count(schema: RecordSchema, config: ModelConfig,
-                    spec: FieldTransformSpec) -> int:
-    """Float64 parameters ``ChadModel(schema, config, rng, spec)`` holds, counted
+def parameter_count(schema: RecordSchema, config: ModelConfig) -> int:
+    """Float64 parameters ``ChadModel(schema, config, rng)`` holds, counted
     without allocating them."""
-    count = sum(a * e for a, e in zip(schema.arities, spec.embed_dims))
-    if spec.cont_mode == "linear":
-        count += spec.g_dim * spec.cont_dim
-    enc_sizes = [spec.output_dim, *config.encoder_sizes]
+    embed_dims, cont_width, mapped = field_widths(schema, config)
+    count = sum(a * e for a, e in zip(schema.arities, embed_dims))
+    if mapped:
+        count += cont_width * schema.r
+    enc_sizes = [sum(embed_dims) + cont_width, *config.encoder_sizes]
     est_sizes = [config.latent_dim, max(1, config.latent_dim // 2), 1]
     # the decoder mirrors the encoder back to the transformed width
     for sizes in (enc_sizes, enc_sizes[::-1], est_sizes):
@@ -88,14 +85,10 @@ class ChadModel:
     "est." name, so each optimizer group is one contiguous slice of it.
     """
 
-    def __init__(self, schema: RecordSchema, config: ModelConfig, rng: np.random.Generator,
-                 transform_spec: FieldTransformSpec | None = None):
-        if transform_spec is None:
-            transform_spec = FieldTransformSpec.for_schema(schema, config)
+    def __init__(self, schema: RecordSchema, config: ModelConfig, rng: np.random.Generator):
         self.schema = schema
         self.config = config
-        self.autoencoder = Autoencoder(schema, transform_spec, config.encoder_sizes,
-                                       config.dropout_ae, rng)
+        self.autoencoder = Autoencoder(schema, config, rng)
         self.estimator = Estimator(config.latent_dim, config.dropout_est, rng)
         self.flat, self._params = pack(
             {**{f"ae.{k}": v for k, v in self.autoencoder.params().items()},
@@ -105,7 +98,7 @@ class ChadModel:
 
     @property
     def latent_dim(self) -> int:
-        return self.autoencoder.latent_dim
+        return self.config.latent_dim
 
     # ---- parameter views -------------------------------------------------
 
@@ -160,14 +153,13 @@ class ChadModel:
 
     # ---- losses ----------------------------------------------------------
 
-    def loss_recon(self, cat: Array, cont: Array, train: bool = False,
-                   rng: np.random.Generator | None = None):
-        loss, ae_grads = self.autoencoder.reconstruction_loss(cat, cont, train, rng)
+    def loss_recon(self, cat: Array, cont: Array, rng: np.random.Generator | None = None):
+        loss, ae_grads = self.autoencoder.reconstruction_loss(cat, cont, rng)
         return loss, {f"ae.{k}": v for k, v in ae_grads.items()}
 
     def loss_estimator(self, cat: Array, cont: Array, neg_cat: Array, neg_cont: Array,
                        noise: Array | None, gamma: float,
-                       train: bool = False, rng: np.random.Generator | None = None):
+                       rng: np.random.Generator | None = None):
         """Contrastive loss over a batch and its negatives.
 
         ``neg_cat``/``neg_cont`` hold K >= 1 negatives per record, flattened
@@ -181,15 +173,15 @@ class ChadModel:
         p = self.latent_dim
 
         ae = self.autoencoder
-        x_e, pos_ctx = ae.encode(cat, cont, train, rng)
-        z_e, neg_ctx = ae.encode(neg_cat, neg_cont, train, rng)
+        x_e, pos_ctx = ae.encode(cat, cont, rng)
+        z_e, neg_ctx = ae.encode(neg_cat, neg_cont, rng)
         if noise is not None:
             z_in = z_e + noise
         else:
             z_in = z_e
 
         loss, est_grads, g_pos_lat, g_neg_lat = self.estimator.loss(
-            x_e, z_in.reshape(b, k, p), gamma, train, rng)
+            x_e, z_in.reshape(b, k, p), gamma, rng)
         grads = {f"est.{key}": v for key, v in est_grads.items()}
 
         paths = []
@@ -205,8 +197,7 @@ class ChadModel:
         return loss, grads
 
     def loss_joint(self, cat, cont, neg_cat, neg_cont, noise, gates, lam: float,
-                   gamma: float, train: bool = False,
-                   rng: np.random.Generator | None = None):
+                   gamma: float, rng: np.random.Generator | None = None):
         """Gated sum of the two losses; a term with a zero gate is skipped.
         Gradients reach every parameter the ungated terms depend on.
 
@@ -218,13 +209,13 @@ class ChadModel:
         grads: dict[str, Array] = {}
         recon_part = est_part = None
         if gate_recon:
-            recon_part, grads = self.loss_recon(cat, cont, train, rng)
+            recon_part, grads = self.loss_recon(cat, cont, rng)
             total += lam * recon_part
             for g in grads.values():
                 g *= lam
         if gate_est:
             est_part, est_grads = self.loss_estimator(
-                cat, cont, neg_cat, neg_cont, noise, gamma, train, rng)
+                cat, cont, neg_cat, neg_cont, noise, gamma, rng)
             total += est_part
             # in place, lam * recon + (positive + negative path)
             for key, g in est_grads.items():

@@ -77,7 +77,8 @@ class DenseStack:
     """A sequence of dense layers with dropout after each hidden activation.
 
     ``activations`` gives one activation name per layer. Dropout is applied
-    after every layer except the last, and only when ``train`` is set.
+    after every layer except the last when ``forward`` is passed a dropout
+    ``rng``, and only then.
     """
 
     def __init__(self, sizes, activations, dropout: float, rng: np.random.Generator):
@@ -91,15 +92,14 @@ class DenseStack:
             for i in range(len(sizes) - 1)
         ]
 
-    def forward(self, x: Array, train: bool = False, rng: np.random.Generator | None = None):
-        if train and self.dropout > 0.0 and rng is None:
-            raise ValueError("training forward with dropout needs an rng")
+    def forward(self, x: Array, rng: np.random.Generator | None = None):
+        drop = rng is not None and self.dropout > 0.0
         caches = []
         out = x
         for i, layer in enumerate(self.layers):
             out, cache = layer.forward(out)
             mask = None
-            if train and self.dropout > 0.0 and i < len(self.layers) - 1:
+            if drop and i < len(self.layers) - 1:
                 mask = dropout_mask(rng, out.shape, self.dropout)
                 out = out * mask
             caches.append((cache, mask))

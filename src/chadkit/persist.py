@@ -10,7 +10,9 @@ File layout (also described in docs/model_format.md):
 
 The header carries the schema (with vocabularies), its hash, the model and
 transform configuration, the normalization stats, and the parameter names
-and shapes. A saved model is therefore self-contained for scoring.
+and shapes. A saved model is therefore self-contained for scoring. The
+schema hash and the transform widths are derived from the schema and the
+model configuration, and a reader refuses a header where they differ.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autoencoder import FieldTransformSpec
+from .autoencoder import field_widths
 from .data import NormalizationStats, RecordSchema
 from .errors import DataError, SchemaError
 from .model import ChadModel, ModelConfig, parameter_count
@@ -29,14 +31,24 @@ from .model import ChadModel, ModelConfig, parameter_count
 FORMAT_VERSION = 1
 
 
+def _derived_entries(schema: RecordSchema, config: ModelConfig) -> dict:
+    """The header entries that ``schema`` and ``config`` determine."""
+    embed_dims, _, mapped = field_widths(schema, config)
+    return {
+        "schema_hash": schema.hash(),
+        "transform_spec": {"embed_dims": list(embed_dims), "cont_dim": schema.r,
+                           "cont_mode": "linear" if mapped else "identity",
+                           "g_dim": config.g_dim},
+    }
+
+
 def save_model(path, model: ChadModel, stats: NormalizationStats):
     params = model.params()
     header = {
         "format_version": FORMAT_VERSION,
         "schema": model.schema.to_json(),
-        "schema_hash": model.schema.hash(),
         "model_config": model.config.to_json(),
-        "transform_spec": model.autoencoder.transform.spec.to_json(),
+        **_derived_entries(model.schema, model.config),
         "normalization": stats.to_json(),
         "params": [{"name": n, "shape": list(p.shape)} for n, p in params.items()],
     }
@@ -62,9 +74,10 @@ def load_model(path):
     """Rebuild (model, stats) from a saved file.
 
     Any file that is not a well-formed model raises DataError: among others,
-    one whose "params" list differs from the (name, shape) list of the model
-    its header describes, or one holding a non-finite parameter or
-    normalization bound.
+    one whose "schema_hash" or "transform_spec" differs from what its schema
+    and model config give, one whose "params" list differs from the (name,
+    shape) list of the model its header describes, or one holding a
+    non-finite parameter or normalization bound.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -92,16 +105,19 @@ def load_model(path):
     try:
         schema = RecordSchema.from_json(header["schema"])
         config = ModelConfig.from_json(header["model_config"])
-        spec = FieldTransformSpec.from_json(header["transform_spec"])
+        for key, value in _derived_entries(schema, config).items():
+            if header[key] != value:
+                raise DataError(f"{path}: the header's {key} does not match its "
+                                f"schema and model_config")
         stats = NormalizationStats.from_json(header["normalization"])
         entries = [(str(e["name"]), tuple(int(d) for d in e["shape"]))
                    for e in header["params"]]
         # nothing is allocated from sizes the payload cannot back
-        count = parameter_count(schema, config, spec)
+        count = parameter_count(schema, config)
         if count * 8 > len(payload):
             raise DataError(f"{path}: truncated payload: the header's layer sizes "
                             f"need {count} parameters, the payload holds {len(payload) // 8}")
-        model = ChadModel(schema, config, np.random.default_rng(0), spec)
+        model = ChadModel(schema, config, np.random.default_rng(0))
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError,
             SchemaError) as err:   # OverflowError: int() of an infinite size
         raise DataError(f"{path}: malformed model header: {err!r}") from None

@@ -15,18 +15,22 @@ import numpy as np
 
 from .data import Dataset, RecordSchema
 
+# spread of a continuous cell around its cluster's level
+CONT_SIGMA = 0.03
+# share of continuous cells in the heavy tail, and the range of the factor
+# each of them is multiplied by
+TAIL_FRACTION = 0.01
+TAIL_SCALE = (2.0, 8.0)
+
 
 def make_clustered_dataset(n_rows: int, arities=(10, 20, 35, 50), n_cont: int = 6,
-                           n_clusters: int = 6, seed: int = 0,
-                           cont_sigma: float = 0.03, prefer: float = 0.99,
-                           values_per_cluster: int = 1,
-                           tail_fraction: float = 0.01,
-                           tail_scale: tuple[float, float] = (2.0, 8.0)) -> Dataset:
+                           n_clusters: int = 6, seed: int = 0, prefer: float = 0.99,
+                           values_per_cluster: int = 1) -> Dataset:
     """Generate a schema and dataset of correlated categorical/continuous rows.
 
     ``prefer`` is the probability a categorical cell follows its cluster's
-    signature rather than a uniform background draw. ``tail_fraction`` of
-    continuous cells are multiplied by a factor drawn from ``tail_scale``.
+    signature rather than a uniform background draw. ``TAIL_FRACTION`` of
+    continuous cells are multiplied by a factor drawn from ``TAIL_SCALE``.
     Values are raw (unnormalized); fit normalization on a training split.
     """
     rng = np.random.default_rng(seed)
@@ -53,10 +57,10 @@ def make_clustered_dataset(n_rows: int, arities=(10, 20, 35, 50), n_cont: int = 
         uniform = rng.integers(0, a, size=n_rows)
         cat[:, w] = np.where(rng.random(n_rows) < prefer, from_pref, uniform)
 
-    cont = np.maximum(levels[cluster] + rng.normal(0.0, cont_sigma, size=(n_rows, r)),
+    cont = np.maximum(levels[cluster] + rng.normal(0.0, CONT_SIGMA, size=(n_rows, r)),
                       0.001)
-    tail = rng.random((n_rows, r)) < tail_fraction
-    cont = np.where(tail, cont * rng.uniform(*tail_scale, size=(n_rows, r)), cont)
+    tail = rng.random((n_rows, r)) < TAIL_FRACTION
+    cont = np.where(tail, cont * rng.uniform(*TAIL_SCALE, size=(n_rows, r)), cont)
     return Dataset(schema, cat, cont)
 
 

@@ -155,13 +155,13 @@ def _run_phase(phase: int, model: ChadModel, data: Dataset, schedule: TrainSched
                 # the latents take no gradient, so their gradients are dropped
                 total, est_grads, _, _ = model.estimator.loss(
                     latents[idx], neg_latents.reshape(len(idx), -1, model.latent_dim),
-                    gamma, train=True, rng=streams["dropout"])
+                    gamma, streams["dropout"])
                 grads = {f"est.{k}": g for k, g in est_grads.items()}
                 l_r, l_est = None, total
             else:
                 total, grads, l_r, l_est = model.loss_joint(
                     cat, cont, neg_cat, neg_cont, noise, gates, lam, gamma,
-                    train=True, rng=streams["dropout"])
+                    streams["dropout"])
             if not np.isfinite(total):
                 raise TrainingDiverged(
                     f"non-finite loss {total} at phase {phase}, epoch {epoch}, "

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from chadkit.autoencoder import (Autoencoder, FieldTransform, FieldTransformSpec,
-                                 FoldedEncoder, default_embed_dim)
+from chadkit.autoencoder import (Autoencoder, FieldTransform, FoldedEncoder,
+                                 default_embed_dim, field_widths)
 from chadkit.data import RecordSchema
 from chadkit.errors import SchemaError
 from chadkit.model import ModelConfig
@@ -19,27 +19,28 @@ def schema_with(arities, r):
                         [f"x{j}" for j in range(r)], vocabs)
 
 
-class TestFieldTransformSpec:
-    def test_dimension_arithmetic(self):
-        spec = FieldTransformSpec(embed_dims=(2, 3), cont_dim=4, cont_mode="identity",
-                                  g_dim=32)
-        assert spec.output_dim == 9
-
+class TestFieldWidths:
     def test_wide_continuous_block_gets_linear_transform(self):
         schema = schema_with((4,), 40)
-        spec = FieldTransformSpec.for_schema(schema, ModelConfig(g_dim=24))
-        assert spec.cont_mode == "linear"
-        assert spec.output_dim == default_embed_dim(4, DEFAULTS.embed_cap) + 24
+        config = ModelConfig(g_dim=24)
+        embed_dims, cont_width, mapped = field_widths(schema, config)
+        assert mapped and cont_width == 24
+        assert embed_dims == (default_embed_dim(4, DEFAULTS.embed_cap),)
+        transform = FieldTransform(schema, config, np.random.default_rng(0))
+        assert transform.g_weight.shape == (24, 40)
+        assert transform.output_dim == default_embed_dim(4, DEFAULTS.embed_cap) + 24
 
     def test_narrow_continuous_block_stays_identity(self):
         schema = schema_with((4,), 32)
-        assert FieldTransformSpec.for_schema(schema, DEFAULTS).cont_mode == "identity"
+        assert field_widths(schema, DEFAULTS)[1:] == (32, False)
+        assert FieldTransform(schema, DEFAULTS, np.random.default_rng(0)).g_weight is None
 
     def test_embed_dim_default_is_sublinear_and_capped(self):
         cap = DEFAULTS.embed_cap
         assert default_embed_dim(9, cap) == 4
         assert default_embed_dim(50, cap) == 9
         assert default_embed_dim(10_000, cap) == 32
+        assert field_widths(schema_with((9, 50, 10_000), 0), DEFAULTS)[0] == (4, 9, 32)
 
     def test_output_dim_property_over_random_schemas(self):
         rng = np.random.default_rng(8)
@@ -48,33 +49,29 @@ class TestFieldTransformSpec:
             r = int(rng.integers(0 if k else 1, 50))
             arities = tuple(int(a) for a in rng.integers(2, 60, size=k))
             schema = schema_with(arities, r)
-            spec = FieldTransformSpec.for_schema(schema, DEFAULTS)
-            transform = FieldTransform(schema, spec, rng)
+            embed_dims, cont_width, _ = field_widths(schema, DEFAULTS)
+            transform = FieldTransform(schema, DEFAULTS, rng)
             x_t, _ = transform.forward(
                 np.array([[rng.integers(0, a) for a in arities]], dtype=np.int64),
                 rng.random((1, r)))
-            expected_cont = spec.g_dim if r > DEFAULTS.cont_threshold else r
-            assert x_t.shape == (1, sum(spec.embed_dims) + expected_cont)
-            assert x_t.shape == (1, spec.output_dim)
-
-    def test_json_round_trip(self):
-        spec = FieldTransformSpec((3, 5), 7, "identity", 16)
-        assert FieldTransformSpec.from_json(spec.to_json()) == spec
+            expected_cont = DEFAULTS.g_dim if r > DEFAULTS.cont_threshold else r
+            assert cont_width == expected_cont
+            assert x_t.shape == (1, sum(embed_dims) + expected_cont)
+            assert x_t.shape == (1, transform.output_dim)
 
 
 class TestFieldTransform:
     def test_identity_embedding_gives_one_hot(self):
+        # an arity-3 field gets a 3-wide embedding under embed_cap 3
         schema = schema_with((3,), 0)
-        spec = FieldTransformSpec(embed_dims=(3,), cont_dim=0, cont_mode="identity", g_dim=32)
-        transform = FieldTransform(schema, spec, np.random.default_rng(0))
+        transform = FieldTransform(schema, ModelConfig(embed_cap=3), np.random.default_rng(0))
         transform.embeddings[0] = np.eye(3)
         out, _ = transform.forward(np.array([[1]]), np.zeros((1, 0)))
         assert out.tolist() == [[0.0, 1.0, 0.0]]
 
     def test_embedding_gradients_touch_only_batch_indices(self):
         schema = schema_with((5,), 2)
-        spec = FieldTransformSpec((4,), 2, "identity", 32)
-        transform = FieldTransform(schema, spec, np.random.default_rng(0))
+        transform = FieldTransform(schema, ModelConfig(embed_cap=4), np.random.default_rng(0))
         cat = np.array([[1], [3], [1]])
         cont = np.random.default_rng(1).random((3, 2))
         x_t, cache = transform.forward(cat, cont)
@@ -86,15 +83,14 @@ class TestFieldTransform:
     def test_embedding_gradients_equal_scatter_add_bitwise(self):
         # the reference: np.add.at, which adds each index's rows in row order
         schema = schema_with((7, 40, 2), 3)
-        spec = FieldTransformSpec.for_schema(schema, DEFAULTS)
-        transform = FieldTransform(schema, spec, np.random.default_rng(0))
+        transform = FieldTransform(schema, DEFAULTS, np.random.default_rng(0))
         rng = np.random.default_rng(4)
         cat = np.stack([rng.integers(0, a, 300) for a in schema.arities], axis=1)
         x_t, cache = transform.forward(cat, rng.random((300, 3)))
         grad = rng.normal(size=x_t.shape)
         grads = transform.backward(cache, grad)
         offset = 0
-        for w, e in enumerate(spec.embed_dims):
+        for w, e in enumerate(transform.embed_dims):
             want = np.zeros((schema.arities[w], e))
             np.add.at(want, cat[:, w], grad[:, offset:offset + e])
             assert grads[f"emb.{w}"].tobytes() == want.tobytes()
@@ -104,9 +100,8 @@ class TestFieldTransform:
 class TestAutoencoder:
     def _build(self, arities=(3, 4), r=3, sizes=(8, 4), seed=0):
         schema = schema_with(arities, r)
-        spec = FieldTransformSpec.for_schema(schema, DEFAULTS)
-        return schema, Autoencoder(schema, spec, sizes, dropout=0.2,
-                                   rng=np.random.default_rng(seed))
+        config = ModelConfig(encoder_sizes=sizes, dropout_ae=0.2)
+        return schema, Autoencoder(schema, config, np.random.default_rng(seed))
 
     def test_zero_decoder_weights_give_half_everywhere(self):
         _, ae = self._build()
@@ -122,7 +117,6 @@ class TestAutoencoder:
         cont = np.random.default_rng(3).random((2, 3))
         x_e, _ = ae.encode(cat, cont)
         assert x_e.shape == (2, 4)
-        assert ae.latent_dim == 4
 
     def test_untrained_loss_is_finite_and_bounded(self):
         schema, ae = self._build()
@@ -210,17 +204,16 @@ class TestFoldedEncoder:
     ])
     def test_matches_inference_encode(self, arities, r):
         schema = schema_with(arities, r)
-        spec = FieldTransformSpec.for_schema(schema, DEFAULTS)
-        assert (spec.cont_mode == "linear") == (r > DEFAULTS.cont_threshold)
         rng = np.random.default_rng(7)
-        ae = Autoencoder(schema, spec, (16, 8, 4), dropout=0.2, rng=rng)
+        ae = Autoencoder(schema, ModelConfig(encoder_sizes=(16, 8, 4)), rng)
+        assert (ae.transform.g_weight is not None) == (r > DEFAULTS.cont_threshold)
         for layer in ae.encoder.layers:
             layer.b[...] = rng.normal(size=layer.b.shape)
         n = 50
         cat = np.stack([rng.integers(0, a, n) for a in arities], axis=1) if arities \
             else np.zeros((n, 0), dtype=np.int64)
         cont = rng.random((n, r))
-        want, _ = ae.encode(cat, cont, train=False)
+        want, _ = ae.encode(cat, cont)
         got = FoldedEncoder(ae).encode(cat, cont)
         assert got.shape == want.shape == (n, 4)
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -286,9 +279,8 @@ def test_parameter_count_matches_built_model(arities, r, sizes):
     from chadkit.model import ChadModel, parameter_count
     schema = schema_with(arities, r)
     config = ModelConfig(encoder_sizes=sizes)
-    spec = FieldTransformSpec.for_schema(schema, config)
-    model = ChadModel(schema, config, np.random.default_rng(0), spec)
-    assert parameter_count(schema, config, spec) == sum(
+    model = ChadModel(schema, config, np.random.default_rng(0))
+    assert parameter_count(schema, config) == sum(
         v.size for v in model.params().values())
 
 

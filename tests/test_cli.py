@@ -304,7 +304,7 @@ class TestScore:
 @pytest.mark.parametrize("command, flag", [
     *[(command, flag) for command in ("train", "eval", "bench-concept", "negsample-dump")
       for flag in ("--model", "--data")],
-    ("score", "--config"), ("score", "--seed"),
+    ("score", "--config"), ("score", "--seed"), ("viz-latent", "--seed"),
 ])
 def test_flag_the_subcommand_ignores_exits_2(command, flag, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -62,7 +62,8 @@ def ws(tmp_path_factory):
                         "box_expand": 0.1},
             "seeds": [0], **run},
         "viz-latent": {"model": files["model.chad"], "data": files["data.csv"],
-                       "source": "estimator", "label_field": "label", **run},
+                       "source": "estimator", "label_field": "label",
+                       "out_dir": run["out_dir"]},
         "negsample-dump": {"schema": files["schema.json"], "data": files["data.csv"],
                            "rows": 3, "negatives": negatives, "min_count": 1, **run},
     }

@@ -183,10 +183,20 @@ class TestDenseStack:
         assert out1.shape == (5, 2)
         assert np.array_equal(out1, out2)
 
-    def test_training_dropout_needs_rng(self):
-        stack = DenseStack([3, 3, 1], ["tanh", "sigmoid"], 0.4, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            stack.forward(np.zeros((2, 3)), train=True)
+    def test_dropout_runs_exactly_when_an_rng_is_passed(self):
+        stack = DenseStack([3, 8, 1], ["tanh", "sigmoid"], 0.4, np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(6, 3))
+        plain, caches = stack.forward(x)
+        assert all(mask is None for _, mask in caches)
+        rng = np.random.default_rng(2)
+        dropped, caches = stack.forward(x, rng=rng)
+        assert caches[0][1] is not None and caches[1][1] is None
+        assert not np.array_equal(plain, dropped)
+        # a zero rate draws nothing from the rng
+        calm = DenseStack([3, 8, 1], ["tanh", "sigmoid"], 0.0, np.random.default_rng(0))
+        state = rng.bit_generator.state
+        assert np.array_equal(calm.forward(x, rng=rng)[0], calm.forward(x)[0])
+        assert rng.bit_generator.state == state
 
     def test_glorot_bounds(self):
         rng = np.random.default_rng(0)
@@ -204,8 +214,7 @@ class TestDenseStack:
         target = rng.random((9, 2))
 
         def loss_fn():
-            out, caches = stack.forward(x, train=True,
-                                        rng=np.random.default_rng(77))
+            out, caches = stack.forward(x, rng=np.random.default_rng(77))
             loss = mse_loss(target, out)
             _, g_out = mse_loss_backward(target, out)
             _, grads = stack.backward(caches, g_out)

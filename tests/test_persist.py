@@ -184,11 +184,31 @@ class TestCorruptFiles:
         ("model_config", {"encoder_sizes": [8, -4], "embed_cap": 32,
                           "cont_threshold": 32, "g_dim": 32, "dropout_ae": 0.2,
                           "dropout_est": 0.1}),
+        # the saved config plus an unknown key, or less a key with a default
+        ("model_config", {"encoder_sizes": [10, 5], "embed_cap": 32,
+                          "cont_threshold": 32, "g_dim": 32, "dropout_ae": 0.2,
+                          "dropout_est": 0.1, "width": 7}),
+        ("model_config", {"encoder_sizes": [10, 5], "embed_cap": 32,
+                          "cont_threshold": 32, "g_dim": 32, "dropout_ae": 0.2}),
     ])
     def test_header_key_mistyped(self, tmp_path, model_and_stats, key, value):
         bad = self._with_header(tmp_path, model_and_stats,
                                 lambda h: json.dumps({**h, key: value}).encode())
         with pytest.raises(DataError, match="malformed model header"):
+            load_model(bad)
+
+    @pytest.mark.parametrize("key, edit", [
+        ("transform_spec", lambda h: {**h["transform_spec"], "g_dim": 7}),
+        ("transform_spec", lambda h: {**h["transform_spec"], "cont_mode": "linear"}),
+        ("schema_hash", lambda h: "0" * 64),
+    ], ids=["g_dim", "cont_mode", "schema_hash"])
+    def test_header_entry_contradicts_schema_and_config(self, tmp_path, model_and_stats,
+                                                        key, edit):
+        # both entries follow from "schema" and "model_config", so a reader
+        # refuses a header where they say something else
+        bad = self._with_header(tmp_path, model_and_stats,
+                                lambda h: json.dumps({**h, key: edit(h)}).encode())
+        with pytest.raises(DataError, match=f"header's {key} does not match"):
             load_model(bad)
 
     def test_params_list_must_equal_the_models(self, tmp_path, model_and_stats):

@@ -247,7 +247,7 @@ class TestPhase3:
                 z_e, _ = ref.autoencoder.encode(ncat, ncont)
                 _, grads, _, _ = ref.estimator.loss(
                     x_e, (z_e + noise).reshape(len(idx), neg.m, -1), gamma,
-                    True, streams["dropout"])
+                    streams["dropout"])
                 opt.step({f"est.{k}": g for k, g in grads.items()})
         got = model.params()
         for key, want in ref.estimator_params().items():
