@@ -14,8 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .data import RecordSchema
-from .nn import (Array, DenseStack, glorot_uniform, mse_loss, mse_loss_backward,
-                 strip_prefix)
+from .nn import Array, DenseStack, glorot_uniform, mse_loss, mse_loss_backward
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -53,10 +52,10 @@ class FieldTransform:
             glorot_uniform(rng, a, e, (a, e))
             for a, e in zip(schema.arities, self.embed_dims)
         ]
-        if mapped:
-            self.g_weight = glorot_uniform(rng, schema.r, cont_width, (cont_width, schema.r))
-        else:
-            self.g_weight = None
+        self.g_weight = (glorot_uniform(rng, schema.r, cont_width, (cont_width, schema.r))
+                         if mapped else None)
+        self.embedding_grads = [np.zeros_like(E) for E in self.embeddings]
+        self.g_weight_grad = None if self.g_weight is None else np.zeros_like(self.g_weight)
 
     def forward(self, cat: Array, cont: Array):
         blocks = [self.embeddings[w][cat[:, w]] for w in range(self.schema.k)]
@@ -67,21 +66,25 @@ class FieldTransform:
         x_t = np.concatenate(blocks, axis=1)
         return x_t, (cat, cont)
 
-    def backward(self, cache, grad_xt: Array) -> dict[str, Array]:
+    def backward(self, cache, grad_xt: Array):
+        """Add the gradients into ``embedding_grads`` and ``g_weight_grad``."""
         cat, cont = cache
-        grads: dict[str, Array] = {}
         offset = 0
-        for w, (a, e) in enumerate(zip(self.schema.arities, self.embed_dims)):
+        for w, (g, e) in enumerate(zip(self.embedding_grads, self.embed_dims)):
             # row i's gradient for column j lands on key index * e + j; bincount
             # adds each key's rows in row order, as a scatter-add would
             keys = cat[:, w, None] * e + np.arange(e)
-            block = grad_xt[:, offset:offset + e]
-            grads[f"emb.{w}"] = np.bincount(keys.ravel(), weights=block.ravel(),
-                                            minlength=a * e).reshape(a, e)
+            block = grad_xt[:, offset:offset + e].ravel()
+            g += np.bincount(keys.ravel(), weights=block, minlength=g.size).reshape(g.shape)
             offset += e
         if self.g_weight is not None:
-            grads["g.W"] = grad_xt[:, offset:].T @ cont
-        return grads
+            self.g_weight_grad += grad_xt[:, offset:].T @ cont
+
+    def zero_grad(self):
+        for g in self.embedding_grads:
+            g.fill(0.0)
+        if self.g_weight_grad is not None:
+            self.g_weight_grad.fill(0.0)
 
     def params(self) -> dict[str, Array]:
         out = {f"emb.{w}": E for w, E in enumerate(self.embeddings)}
@@ -89,11 +92,12 @@ class FieldTransform:
             out["g.W"] = self.g_weight
         return out
 
-    def bind(self, views: dict[str, Array]):
-        """Point every parameter at the same-named array of ``views``."""
+    def bind(self, views: dict[str, Array], grads: dict[str, Array]):
+        """Point every parameter and gradient into ``views`` and ``grads``."""
         self.embeddings = [views[f"emb.{w}"] for w in range(self.schema.k)]
+        self.embedding_grads = [grads[f"emb.{w}"] for w in range(self.schema.k)]
         if self.g_weight is not None:
-            self.g_weight = views["g.W"]
+            self.g_weight, self.g_weight_grad = views["g.W"], grads["g.W"]
 
 
 class Autoencoder:
@@ -123,36 +127,26 @@ class Autoencoder:
         return x_e, (ft_cache, enc_caches, x_t)
 
     def reconstruction_loss(self, cat: Array, cont: Array,
-                            rng: np.random.Generator | None = None):
+                            rng: np.random.Generator | None = None) -> float:
         """Mean squared error between the transformed input and its
-        reconstruction, with gradients for every autoencoder parameter.
+        reconstruction. Every autoencoder gradient is zeroed first and then
+        holds this loss's gradient.
 
         The transformed input is itself a function of the embeddings, so the
         target side contributes gradient too.
         """
+        self.zero_grad()
         x_e, (ft_cache, enc_caches, x_t) = self.encode(cat, cont, rng)
         x_hat, dec_caches = self.decoder.forward(x_e, rng)
         loss = mse_loss(x_t, x_hat)
         g_xt_target, g_xhat = mse_loss_backward(x_t, x_hat)
-        g_xe, dec_grads = self.decoder.backward(dec_caches, g_xhat)
-        g_xt_enc, enc_grads = self.encoder.backward(enc_caches, g_xe)
-        ft_grads = self.transform.backward(ft_cache, g_xt_enc + g_xt_target)
-        grads = {f"enc.{k}": v for k, v in enc_grads.items()}
-        grads.update({f"dec.{k}": v for k, v in dec_grads.items()})
-        grads.update(ft_grads)
-        return loss, grads
+        g_xt_enc = self.encoder.backward(enc_caches, self.decoder.backward(dec_caches, g_xhat))
+        self.transform.backward(ft_cache, g_xt_enc + g_xt_target)
+        return loss
 
-    def params(self) -> dict[str, Array]:
-        out = dict(self.transform.params())
-        out.update({f"enc.{k}": v for k, v in self.encoder.params().items()})
-        out.update({f"dec.{k}": v for k, v in self.decoder.params().items()})
-        return out
-
-    def bind(self, views: dict[str, Array]):
-        """Point every parameter at the same-named array of ``views``."""
-        self.transform.bind(views)
-        self.encoder.bind(strip_prefix(views, "enc."))
-        self.decoder.bind(strip_prefix(views, "dec."))
+    def zero_grad(self):
+        for part in (self.transform, self.encoder, self.decoder):
+            part.zero_grad()
 
 
 class FoldedEncoder:

@@ -243,11 +243,11 @@ def cmd_train(args) -> int:
     log = TrainLog()
 
     def checkpoint(phase, mdl):
-        save_model(out / f"checkpoint_phase{phase}.chad", mdl, stats)
+        # the phase-3 checkpoint is the trained model
+        save_model(out / ("model.chad" if phase == 3 else f"checkpoint_phase{phase}.chad"),
+                   mdl, stats)
 
     train(model, dataset, schedule, neg_config, noise_spec, log, checkpoint)
-
-    save_model(out / "model.chad", model, stats)
     log.write_jsonl(out / "train_log.jsonl")
     _write_json(out / "load_report.json", report.to_json())
     _write_json(out / "vocab.json", {"vocabs": dataset.schema.to_json()["vocabs"]})
@@ -261,15 +261,30 @@ def cmd_train(args) -> int:
 
 
 def _load_for_model(model: ChadModel, stats, data_path, label_field=None):
+    """The CSV normalized with the model's ranges, and its load report. A row
+    with a normalized value that is not finite is dropped as non-finite."""
     header = read_csv_header(data_path)
     wanted = set(model.schema.cat_fields) | set(model.schema.cont_fields)
     missing = wanted - set(header)
     if missing:
         raise SchemaError(f"{data_path} lacks model schema columns {sorted(missing)}")
-    dataset, report = load_csv(data_path, model.schema, label_field=label_field)
-    if dataset.schema.hash() != model.schema.hash():
+    raw, report = load_csv(data_path, model.schema, label_field=label_field)
+    if raw.schema.hash() != model.schema.hash():
         raise SchemaError(f"{data_path} introduced categories not in the model schema")
-    return apply_normalize(stats, dataset), report
+    with np.errstate(over="ignore"):
+        dataset = apply_normalize(stats, raw)
+    bad = ~np.isfinite(dataset.cont).all(axis=1)
+    if bad.any():
+        i, j = np.argwhere(~np.isfinite(dataset.cont))[0]
+        report.first_nonfinite = report.first_nonfinite or (
+            f"kept row {i + 1}, column {model.schema.cont_fields[j]!r}: "
+            f"{raw.cont[i, j]} normalizes to {dataset.cont[i, j]}")
+        report.rows_dropped_nonfinite += int(bad.sum())
+        report.rows_kept -= int(bad.sum())
+        # the kept rows are numbered afresh, as load_csv numbers them
+        dataset = dataset.subset(np.flatnonzero(~bad))
+        dataset.ids = np.arange(dataset.n)
+    return dataset, report
 
 
 def cmd_score(args) -> int:

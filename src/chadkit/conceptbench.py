@@ -333,18 +333,16 @@ def nce_concept(points: Array, config: ConceptConfig, rng: np.random.Generator,
 
     sizes = [2, *NCE_HIDDEN, 1]
     stack = DenseStack(sizes, ["tanh"] * len(NCE_HIDDEN) + ["sigmoid"], 0.0, rng)
-    flat, params = pack(stack.params())
-    stack.bind(params)
-    opt = Adam(flat, params, NCE_LR)
+    flat, grad, params, _ = pack({"": stack})
+    opt = Adam(flat, grad, params, NCE_LR)
     for _ in range(epochs):
         f_pos, pos_caches = stack.forward(x_pos)
         f_neg, neg_caches = stack.forward(x_neg)
         _, d_pos, d_neg = contrastive_loss_terms(f_pos[:, 0], f_neg, 1.0)
-        _, g_pos = stack.backward(pos_caches, d_pos[:, None])
-        _, g_neg = stack.backward(neg_caches, d_neg)
-        for key, g in g_pos.items():
-            g += g_neg[key]
-        opt.step(g_pos)
+        stack.zero_grad()
+        stack.backward(pos_caches, d_pos[:, None])
+        stack.backward(neg_caches, d_neg)
+        opt.step()
     return NceModel(stack, center, scale)
 
 

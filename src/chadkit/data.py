@@ -482,7 +482,9 @@ def apply_normalize(stats: NormalizationStats, dataset: Dataset) -> Dataset:
     The training data lands in [0, 1]. Values outside the training range land
     outside it, unclamped: the detector's negatives are pushed past the
     observed range, so that is where it learns to flag records. Constant
-    training fields map to 0.5 everywhere.
+    training fields map to 0.5 everywhere. A finite value far past a narrow
+    range can overflow to +-inf; ``score``, ``eval`` and ``viz-latent`` drop
+    such a row and count it in ``rows_dropped_nonfinite``.
     """
     if dataset.schema.r == 0:
         return dataset

@@ -81,22 +81,19 @@ class Estimator:
 
     def loss(self, pos_latents: Array, neg_latents: Array, gamma: float,
              rng: np.random.Generator | None = None):
-        """Contrastive loss over a batch, plus gradients.
+        """Contrastive loss over a batch. Every estimator gradient is zeroed
+        first and then holds this loss's gradient.
 
         ``neg_latents`` is (B, K, p), already noise-injected if noise is on.
-        Returns (loss, param_grads, grad_pos_latents, grad_neg_latents) so a
-        caller can keep pushing the gradient into the encoder.
+        Returns (loss, grad_pos_latents, grad_neg_latents) so a caller can
+        keep pushing the gradient into the encoder.
         """
         b, k, p = neg_latents.shape
+        self.stack.zero_grad()
         f_pos, pos_caches = self.likelihood(pos_latents, rng)
         f_neg_flat, neg_caches = self.likelihood(neg_latents.reshape(b * k, p), rng)
         loss, d_pos, d_neg = contrastive_loss_terms(f_pos, f_neg_flat.reshape(b, k), gamma)
 
-        g_pos_in, pos_grads = self.stack.backward(pos_caches, d_pos[:, None])
-        g_neg_in, neg_grads = self.stack.backward(neg_caches, d_neg.reshape(b * k, 1))
-        param_grads = {key: pos_grads[key] + neg_grads[key] for key in pos_grads}
-        return loss, param_grads, g_pos_in, g_neg_in.reshape(b, k, p)
-
-    def params(self) -> dict[str, Array]:
-        return self.stack.params()
-
+        g_pos_in = self.stack.backward(pos_caches, d_pos[:, None])
+        g_neg_in = self.stack.backward(neg_caches, d_neg.reshape(b * k, 1))
+        return loss, g_pos_in, g_neg_in.reshape(b, k, p)

@@ -2,8 +2,8 @@
 
 This module owns the parameter namespace ("ae.*" / "est.*") used by the
 optimizers, the persistence layer, and the freeze contracts, and provides
-the three loss entry points the training schedule gates between in phases
-1 and 2, and the inference-mode encoder that scoring uses.
+the gated loss the training schedule runs in phases 1 and 2, and the
+inference-mode encoder that scoring uses.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from .autoencoder import Autoencoder, FoldedEncoder, field_widths
 from .data import Dataset, RecordSchema, check_batch
 from .errors import SchemaError
 from .estimator import Estimator
-from .nn import Array, pack, strip_prefix
+from .nn import Array, pack
 
 # Rows pushed through the folded encoder and the estimator at once when
 # encoding or scoring: the widest temporary is SCORE_CHUNK_ROWS x the first
@@ -81,20 +81,20 @@ class ChadModel:
     """Autoencoder + estimator whose parameters are views into one vector.
 
     ``flat`` holds every parameter flattened C-order in sorted-name order,
-    the model file's payload order. Every "ae." name sorts before every
-    "est." name, so each optimizer group is one contiguous slice of it.
+    the model file's payload order, and ``grad`` their gradients laid out
+    alike. Every "ae." name sorts before every "est." name, so each
+    optimizer group is one contiguous slice of both.
     """
 
     def __init__(self, schema: RecordSchema, config: ModelConfig, rng: np.random.Generator):
         self.schema = schema
         self.config = config
-        self.autoencoder = Autoencoder(schema, config, rng)
+        ae = self.autoencoder = Autoencoder(schema, config, rng)
         self.estimator = Estimator(config.latent_dim, config.dropout_est, rng)
-        self.flat, self._params = pack(
-            {**{f"ae.{k}": v for k, v in self.autoencoder.params().items()},
-             **{f"est.{k}": v for k, v in self.estimator.params().items()}})
-        self.autoencoder.bind(strip_prefix(self._params, "ae."))
-        self.estimator.stack.bind(strip_prefix(self._params, "est."))
+        self.flat, self.grad, self._params, self._grads = pack(
+            {"ae.": ae.transform, "ae.enc.": ae.encoder, "ae.dec.": ae.decoder,
+             "est.": self.estimator.stack})
+        self._ae_grad = self.group("ae.")[1]
 
     @property
     def latent_dim(self) -> int:
@@ -106,19 +106,25 @@ class ChadModel:
         """Name -> view into ``flat``, in sorted-name order."""
         return dict(self._params)
 
-    def group(self, prefix: str) -> tuple[Array, dict[str, Array]]:
-        """The slice of ``flat`` holding the parameters whose names start with
-        ``prefix``, and their name -> view map: an ``Adam``'s arguments."""
+    def grads(self) -> dict[str, Array]:
+        """Name -> view into ``grad``, named as ``params``."""
+        return dict(self._grads)
+
+    def group(self, prefix: str) -> tuple[Array, Array, dict[str, Array]]:
+        """The slices of ``flat`` and ``grad`` holding the parameters whose
+        names start with ``prefix`` and their gradients, and the parameters'
+        name -> view map: an ``Adam``'s arguments."""
         params = {k: v for k, v in self._params.items() if k.startswith(prefix)}
         # sorted names: those below the prefix come first, then the group
         start = sum(v.size for k, v in self._params.items() if k < prefix)
-        return self.flat[start:start + sum(v.size for v in params.values())], params
+        stop = start + sum(v.size for v in params.values())
+        return self.flat[start:stop], self.grad[start:stop], params
 
     def autoencoder_params(self) -> dict[str, Array]:
-        return self.group("ae.")[1]
+        return self.group("ae.")[2]
 
     def estimator_params(self) -> dict[str, Array]:
-        return self.group("est.")[1]
+        return self.group("est.")[2]
 
     def snapshot(self, keys=None) -> dict[str, Array]:
         """Copies of parameters (for bitwise freeze checks)."""
@@ -153,74 +159,51 @@ class ChadModel:
 
     # ---- losses ----------------------------------------------------------
 
-    def loss_recon(self, cat: Array, cont: Array, rng: np.random.Generator | None = None):
-        loss, ae_grads = self.autoencoder.reconstruction_loss(cat, cont, rng)
-        return loss, {f"ae.{k}": v for k, v in ae_grads.items()}
-
     def loss_estimator(self, cat: Array, cont: Array, neg_cat: Array, neg_cont: Array,
                        noise: Array | None, gamma: float,
-                       rng: np.random.Generator | None = None):
+                       rng: np.random.Generator | None = None) -> float:
         """Contrastive loss over a batch and its negatives.
 
         ``neg_cat``/``neg_cont`` hold K >= 1 negatives per record, flattened
         row-major; ``noise`` is an optional precomputed (B*K, p) latent
         offset. The gradient continues through the encoder and field
-        transforms on both the positive and negative paths. Like the other
-        losses, it takes in-range 2-D batches and does not check them.
+        transforms on both the positive and negative paths; ``grad`` is
+        zeroed first, so the decoder's stays zero. Like the other losses, it
+        takes in-range 2-D batches and does not check them.
         """
-        b, s = cat.shape[0], neg_cat.shape[0]
-        k = s // b
-        p = self.latent_dim
-
-        ae = self.autoencoder
-        x_e, pos_ctx = ae.encode(cat, cont, rng)
-        z_e, neg_ctx = ae.encode(neg_cat, neg_cont, rng)
-        if noise is not None:
-            z_in = z_e + noise
-        else:
-            z_in = z_e
-
-        loss, est_grads, g_pos_lat, g_neg_lat = self.estimator.loss(
-            x_e, z_in.reshape(b, k, p), gamma, rng)
-        grads = {f"est.{key}": v for key, v in est_grads.items()}
-
-        paths = []
-        for (ft_cache, enc_caches, _), g_lat in ((pos_ctx, g_pos_lat),
-                                                 (neg_ctx, g_neg_lat.reshape(s, p))):
-            g_xt, enc_grads = ae.encoder.backward(enc_caches, g_lat)
-            paths.append({f"enc.{key}": v for key, v in enc_grads.items()}
-                         | ae.transform.backward(ft_cache, g_xt))
-        pos, neg = paths
-        for key, g in pos.items():
-            g += neg[key]
-            grads[f"ae.{key}"] = g
-        return loss, grads
+        ae, p = self.autoencoder, self.latent_dim
+        ae.zero_grad()
+        x_e, (pos_ft, pos_enc, _) = ae.encode(cat, cont, rng)
+        z_e, (neg_ft, neg_enc, _) = ae.encode(neg_cat, neg_cont, rng)
+        z_in = z_e if noise is None else z_e + noise
+        loss, g_pos_lat, g_neg_lat = self.estimator.loss(
+            x_e, z_in.reshape(cat.shape[0], -1, p), gamma, rng)
+        # the negative path adds onto the positive one: positive + negative
+        ae.transform.backward(pos_ft, ae.encoder.backward(pos_enc, g_pos_lat))
+        ae.transform.backward(neg_ft, ae.encoder.backward(neg_enc, g_neg_lat.reshape(-1, p)))
+        return loss
 
     def loss_joint(self, cat, cont, neg_cat, neg_cont, noise, gates, lam: float,
                    gamma: float, rng: np.random.Generator | None = None):
         """Gated sum of the two losses; a term with a zero gate is skipped.
-        Gradients reach every parameter the ungated terms depend on.
+        ``grad`` is zeroed first and then holds the sum's gradient, which
+        reaches every parameter the ungated terms depend on.
 
-        Returns (total, grads, recon_part, est_part); the skipped parts are
+        Returns (total, recon_part, est_part); the skipped parts are
         reported as None.
         """
         gate_recon, gate_est = gates
-        total = 0.0
-        grads: dict[str, Array] = {}
-        recon_part = est_part = None
+        total, recon_part, est_part = 0.0, None, None
+        self.grad.fill(0.0)
         if gate_recon:
-            recon_part, grads = self.loss_recon(cat, cont, rng)
+            recon_part = self.autoencoder.reconstruction_loss(cat, cont, rng)
             total += lam * recon_part
-            for g in grads.values():
-                g *= lam
+            self._ae_grad *= lam
         if gate_est:
-            est_part, est_grads = self.loss_estimator(
-                cat, cont, neg_cat, neg_cont, noise, gamma, rng)
+            recon_grad = self._ae_grad.copy()
+            est_part = self.loss_estimator(cat, cont, neg_cat, neg_cont, noise, gamma, rng)
             total += est_part
-            # in place, lam * recon + (positive + negative path)
-            for key, g in est_grads.items():
-                if key in grads:
-                    grads[key] += g
-                else:
-                    grads[key] = g
-        return total, grads, recon_part, est_part
+            # (positive + negative path) + lam * recon, which IEEE addition
+            # commutes: the bits of lam * recon + (positive + negative path)
+            self._ae_grad += recon_grad
+        return total, recon_part, est_part

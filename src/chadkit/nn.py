@@ -3,6 +3,12 @@
 Everything is plain float64 numpy with explicit forward caches and manual
 backward passes. There is no graph autodiff; each component knows how to
 push a gradient back through itself.
+
+The gradient contract: each parameter has a gradient array beside it
+(``DenseLayer.gW``/``gb``), and ``pack`` binds both to views of two vectors
+laid out alike, ``flat`` and ``grad``. Backward passes *add* into ``grad``.
+A loss entry point first zeroes the gradients it writes, so one call leaves
+exactly that loss's gradient, and ``Adam.step()`` reads its slice of it.
 """
 from __future__ import annotations
 
@@ -43,6 +49,8 @@ class DenseLayer:
         self.activation = activation
         self.W = glorot_uniform(rng, in_dim, out_dim, (out_dim, in_dim))
         self.b = np.zeros(out_dim)
+        self.gW = np.zeros_like(self.W)
+        self.gb = np.zeros_like(self.b)
 
     def forward(self, x: Array):
         """Activations of a 2-D float64 batch ``x`` of width ``in_dim``, and
@@ -58,13 +66,16 @@ class DenseLayer:
         return a, (x, a)
 
     def backward(self, cache, grad_out: Array):
+        """Add the weight and bias gradients into ``gW`` and ``gb``; returns
+        the gradients of the input and of the pre-activation."""
         x, a = cache
         if self.activation == "tanh":
             gz = grad_out * (1.0 - a * a)
         else:
             gz = grad_out * a * (1.0 - a)
-        grads = {"W": gz.T @ x, "b": gz.sum(axis=0)}
-        return gz @ self.W, grads
+        self.gW += gz.T @ x
+        self.gb += gz.sum(axis=0)
+        return gz @ self.W, gz
 
 
 def dropout_mask(rng: np.random.Generator, shape, rate: float) -> Array:
@@ -105,29 +116,29 @@ class DenseStack:
             caches.append((cache, mask))
         return out, caches
 
-    def backward(self, caches, grad_out: Array):
-        grads: dict[str, Array] = {}
+    def backward(self, caches, grad_out: Array) -> Array:
+        """Add the layers' gradients into their ``gW``/``gb``; returns the input's."""
         g = grad_out
-        for i in range(len(self.layers) - 1, -1, -1):
-            cache, mask = caches[i]
+        for layer, (cache, mask) in zip(reversed(self.layers), reversed(caches)):
             if mask is not None:
                 g = g * mask
-            g, layer_grads = self.layers[i].backward(cache, g)
-            grads[f"{i}.W"] = layer_grads["W"]
-            grads[f"{i}.b"] = layer_grads["b"]
-        return g, grads
+            g, _ = layer.backward(cache, g)
+        return g
+
+    def zero_grad(self):
+        for layer in self.layers:
+            layer.gW.fill(0.0)
+            layer.gb.fill(0.0)
 
     def params(self) -> dict[str, Array]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            out[f"{i}.W"] = layer.W
-            out[f"{i}.b"] = layer.b
-        return out
+        return {f"{i}.{name}": p for i, layer in enumerate(self.layers)
+                for name, p in (("W", layer.W), ("b", layer.b))}
 
-    def bind(self, views: dict[str, Array]):
-        """Point every layer's parameters at the same-named arrays of ``views``."""
+    def bind(self, views: dict[str, Array], grads: dict[str, Array]):
+        """Point the layers' parameters and gradients into ``views``, ``grads``."""
         for i, layer in enumerate(self.layers):
             layer.W, layer.b = views[f"{i}.W"], views[f"{i}.b"]
+            layer.gW, layer.gb = grads[f"{i}.W"], grads[f"{i}.b"]
 
 
 def mse_loss(x: Array, x_hat: Array) -> float:
@@ -147,49 +158,45 @@ def strip_prefix(named: dict[str, Array], prefix: str) -> dict[str, Array]:
     return {k[len(prefix):]: v for k, v in named.items() if k.startswith(prefix)}
 
 
-def pack(params: dict[str, Array]) -> tuple[Array, dict[str, Array]]:
-    """One contiguous float64 vector holding ``params`` flattened C-order in
-    sorted-name order, and a name -> view map into it with each parameter's
-    shape and values. An owner that adopts the views (``bind``) can be
-    stepped in place by an ``Adam`` over the vector."""
+def pack(parts: dict):
+    """One float64 vector of the parameters of ``parts`` (name prefix ->
+    component with ``params`` and ``bind``), flattened C-order in sorted
+    order of the prefixed names, and a zeroed gradient vector laid out alike.
+    Each part is bound to its views into both. Returns the two vectors and
+    the name -> view maps into them."""
+    params = {prefix + k: v for prefix, part in parts.items() for k, v in part.params().items()}
     names = sorted(params)
     flat = np.concatenate([params[name].ravel() for name in names])
-    views, offset = {}, 0
+    grad = np.zeros_like(flat)
+    views, grads, offset = {}, {}, 0
     for name in names:
-        views[name] = flat[offset:offset + params[name].size].reshape(params[name].shape)
-        offset += params[name].size
-    return flat, views
+        shape, end = params[name].shape, offset + params[name].size
+        views[name] = flat[offset:end].reshape(shape)
+        grads[name] = grad[offset:end].reshape(shape)
+        offset = end
+    for prefix, part in parts.items():
+        part.bind(strip_prefix(views, prefix), strip_prefix(grads, prefix))
+    return flat, grad, views, grads
 
 
 class Adam:
     """Bias-corrected Adam over one contiguous float64 vector, ``flat``, which
-    ``step`` updates in place; ``params`` maps each name to its view into
-    ``flat``, laid out as ``pack`` lays them."""
+    ``step`` updates in place from ``grad``, laid out alike; ``params`` maps
+    each name to its view into ``flat``, laid out as ``pack`` lays them."""
 
-    def __init__(self, flat: Array, params: dict[str, Array], lr: float):
-        if sum(p.size for p in params.values()) != flat.size:
-            raise ValueError("the parameter views do not cover the vector")
-        self.flat = flat
-        self.params = params
-        self.lr = lr
-        self.m = np.zeros_like(flat)
-        self.v = np.zeros_like(flat)
-        self.t = 0
-        # the gradients are gathered into a vector laid out like ``flat``
-        self._grad, self._grad_views = pack(params)
-        self._tmp = np.empty_like(flat)
+    def __init__(self, flat: Array, grad: Array, params: dict[str, Array], lr: float):
+        if sum(p.size for p in params.values()) != flat.size or grad.shape != flat.shape:
+            raise ValueError("the parameter views and the gradient do not cover the vector")
+        self.flat, self.grad, self.params, self.lr = flat, grad, params, lr
+        self.m, self.v, self.t = np.zeros_like(flat), np.zeros_like(flat), 0
+        self._tmp, self._step = np.empty_like(flat), np.empty_like(flat)
 
-    def step(self, grads: dict[str, Array]):
-        """One update from ``grads``, which holds at least every name of
-        ``params`` (other names are ignored)."""
-        missing = set(self.params) - set(grads)
-        if missing:
-            raise ValueError(f"missing gradients for {sorted(missing)}")
-        g, tmp, m, v = self._grad, self._tmp, self.m, self.v
-        for name, view in self._grad_views.items():
-            view[...] = grads[name]
+    def step(self):
+        """One update from ``grad``, which it leaves unchanged."""
+        g, tmp, step, m, v = self.grad, self._tmp, self._step, self.m, self.v
         if not np.isfinite(g).all():
-            bad = next(k for k, view in self._grad_views.items() if not np.isfinite(view).all())
+            ends = np.cumsum([p.size for p in self.params.values()])
+            bad = list(self.params)[np.searchsorted(ends, np.argmin(np.isfinite(g)), "right")]
             raise TrainingDiverged(f"non-finite gradient for parameter {bad!r}")
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
@@ -202,27 +209,30 @@ class Adam:
         np.multiply(g, g, out=tmp)
         np.multiply(tmp, 1.0 - ADAM_BETA2, out=tmp)
         np.add(v, tmp, out=v)
-        # flat -= (lr * m_hat) / (sqrt(v_hat) + eps); g is free from here on
-        np.divide(m, bc1, out=g)
+        # flat -= (lr * m_hat) / (sqrt(v_hat) + eps)
+        np.divide(m, bc1, out=step)
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
         np.add(tmp, ADAM_EPS, out=tmp)
-        np.multiply(g, self.lr, out=g)
-        np.divide(g, tmp, out=g)
-        np.subtract(self.flat, g, out=self.flat)
+        np.multiply(step, self.lr, out=step)
+        np.divide(step, tmp, out=step)
+        np.subtract(self.flat, step, out=self.flat)
 
 
-def grad_check(loss_fn, params: dict[str, Array], probe_count: int = 20,
-               h: float = 1e-5, rng: np.random.Generator | None = None) -> float:
+def grad_check(loss_fn, params: dict[str, Array], grads: dict[str, Array],
+               probe_count: int = 20, h: float = 1e-5,
+               rng: np.random.Generator | None = None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    ``loss_fn`` takes no arguments, reads the live arrays in ``params`` and
-    returns ``(loss, grads)``. It must be deterministic (dropout disabled,
-    any noise frozen), since it is re-evaluated at perturbed coordinates.
+    ``loss_fn`` takes no arguments, reads the live arrays in ``params``,
+    returns the loss and leaves its gradient in the same-named arrays of
+    ``grads``. It must be deterministic (dropout disabled, any noise frozen),
+    since it is re-evaluated at perturbed coordinates.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    _, grads = loss_fn()
+    loss_fn()
+    analytic = {name: g.copy() for name, g in grads.items()}
     names = sorted(params)
     worst = 0.0
     for _ in range(probe_count):
@@ -231,13 +241,11 @@ def grad_check(loss_fn, params: dict[str, Array], probe_count: int = 20,
         idx = int(rng.integers(arr.size))
         orig = arr.flat[idx]
         arr.flat[idx] = orig + h
-        lp, _ = loss_fn()
+        lp = loss_fn()
         arr.flat[idx] = orig - h
-        lm, _ = loss_fn()
+        lm = loss_fn()
         arr.flat[idx] = orig
         fd = (lp - lm) / (2.0 * h)
-        # a parameter absent from the grads dict has zero gradient by contract
-        analytic = grads[name].flat[idx] if name in grads else 0.0
-        rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-5)
-        worst = max(worst, rel)
+        g = analytic[name].flat[idx]
+        worst = max(worst, abs(g - fd) / max(abs(g), abs(fd), 1e-5))
     return worst

@@ -153,13 +153,12 @@ def _run_phase(phase: int, model: ChadModel, data: Dataset, schedule: TrainSched
                 if noise is not None:
                     neg_latents += noise
                 # the latents take no gradient, so their gradients are dropped
-                total, est_grads, _, _ = model.estimator.loss(
+                total, _, _ = model.estimator.loss(
                     latents[idx], neg_latents.reshape(len(idx), -1, model.latent_dim),
                     gamma, streams["dropout"])
-                grads = {f"est.{k}": g for k, g in est_grads.items()}
                 l_r, l_est = None, total
             else:
-                total, grads, l_r, l_est = model.loss_joint(
+                total, l_r, l_est = model.loss_joint(
                     cat, cont, neg_cat, neg_cont, noise, gates, lam, gamma,
                     streams["dropout"])
             if not np.isfinite(total):
@@ -167,9 +166,9 @@ def _run_phase(phase: int, model: ChadModel, data: Dataset, schedule: TrainSched
                     f"non-finite loss {total} at phase {phase}, epoch {epoch}, "
                     f"batch {b_idx}")
             if gates[0]:
-                opt_ae.step(grads)
+                opt_ae.step()
             if gates[1]:
-                opt_est.step(grads)
+                opt_est.step()
             log.add(phase=phase, epoch=epoch, batch=b_idx,
                     gates=list(gates), **{"lambda": lam}, gamma=gamma,
                     loss_recon=l_r, loss_est=l_est)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from chadkit.cli import main
+from chadkit.data import RecordSchema
 from chadkit.persist import load_model, save_model
 from chadkit.synthdata import make_clustered_dataset
 
@@ -40,10 +41,11 @@ def workspace(tmp_path_factory):
 
 
 class TestTrain:
-    def test_produces_four_checkpoint_files(self, workspace):
+    def test_produces_three_checkpoint_files(self, workspace):
+        # phase 3's checkpoint is model.chad itself
         names = {p.name for p in (workspace / "run").iterdir()}
-        assert {"checkpoint_phase1.chad", "checkpoint_phase2.chad",
-                "checkpoint_phase3.chad", "model.chad"} <= names
+        assert {"checkpoint_phase1.chad", "checkpoint_phase2.chad", "model.chad"} <= names
+        assert "checkpoint_phase3.chad" not in names
         assert {"train_log.jsonl", "load_report.json", "vocab.json",
                 "normalization.json", "resolved_config.json"} <= names
 
@@ -248,6 +250,32 @@ class TestScore:
         report = json.loads(out.with_suffix(".csv.report.json").read_text())
         assert report["rows_dropped_nonfinite"] == 1
         assert report["rows_dropped_missing"] == 0
+
+    def test_finite_cell_that_normalizes_past_float64_is_dropped(self, tmp_path):
+        # training spans of 0.01 send the finite cells +-1.7e308 past the
+        # float64 range once normalized
+        u = np.random.default_rng(0).random((200, 2)).tolist()
+        (tmp_path / "train.csv").write_text("c,x,y\n" + "".join(
+            f"{'ab'[i % 2]},{1 + 0.01 * a!r},{2 + 0.01 * b!r}\n" for i, (a, b) in enumerate(u)))
+        write_schema_json(tmp_path / "schema.json", RecordSchema(["c"], ["x", "y"]))
+        config = {"schema": str(tmp_path / "schema.json"),
+                  "train_data": str(tmp_path / "train.csv"), "min_count": 1,
+                  "model": {"encoder_sizes": [4, 2]},
+                  "train": {"phase_epochs": [1, 1, 1], "batch_size": 64},
+                  "out_dir": str(tmp_path / "run")}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 0
+        data = tmp_path / "score.csv"
+        data.write_text("c,x,y\na,1.005,2.005\na,1.7e308,-1.7e308\nb,1.002,2.009\n")
+        out = tmp_path / "scores.csv"
+        rc = main(["score", "--model", str(tmp_path / "run/model.chad"),
+                   "--data", str(data), "--out", str(out)])
+        assert rc == 0
+        rows = read_csv(out)[1:]
+        assert sorted(int(r[0]) for r in rows) == [0, 1]
+        assert all(math.isfinite(float(r[1])) for r in rows)
+        report = json.loads(out.with_suffix(".csv.report.json").read_text())
+        assert report["rows_dropped_nonfinite"] == 1 and report["rows_kept"] == 2
 
     @pytest.mark.parametrize("content, message", [
         (b"\xff\xfe", "line 1 is not valid UTF-8"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chadkit.estimator import Estimator, SecondaryNoiseSpec, contrastive_loss_terms
-from chadkit.nn import grad_check
+from chadkit.nn import grad_check, pack
 
 
 class TestLikelihood:
@@ -119,12 +119,13 @@ class TestEstimatorLossGradients:
         est = Estimator(6, 0.1, rng)
         pos = rng.normal(size=(9, 6)) * 0.5
         neg = rng.normal(size=(9, 4, 6)) * 0.5
+        _, _, params, grads = pack({"": est.stack})
 
         def loss_fn():
-            loss, grads, _, _ = est.loss(pos, neg, gamma=1.4)
-            return loss, grads
+            loss, _, _ = est.loss(pos, neg, gamma=1.4)
+            return loss
 
-        err = grad_check(loss_fn, est.params(), probe_count=30,
+        err = grad_check(loss_fn, params, grads, probe_count=30,
                          rng=np.random.default_rng(11))
         assert err < 1e-6
 
@@ -133,20 +134,20 @@ class TestEstimatorLossGradients:
         est = Estimator(5, 0.1, rng)
         pos = rng.normal(size=(3, 5)) * 0.5
         neg = rng.normal(size=(3, 2, 5)) * 0.5
-        _, _, g_pos, g_neg = est.loss(pos, neg, gamma=1.0)
+        _, g_pos, g_neg = est.loss(pos, neg, gamma=1.0)
         h = 1e-6
         for (i, j) in ((0, 1), (2, 4)):
             pos[i, j] += h
-            up, _, _, _ = est.loss(pos, neg, gamma=1.0)
+            up, _, _ = est.loss(pos, neg, gamma=1.0)
             pos[i, j] -= 2 * h
-            down, _, _, _ = est.loss(pos, neg, gamma=1.0)
+            down, _, _ = est.loss(pos, neg, gamma=1.0)
             pos[i, j] += h
             assert g_pos[i, j] == pytest.approx((up - down) / (2 * h), rel=1e-4)
         for (i, k, j) in ((1, 0, 2), (2, 1, 0)):
             neg[i, k, j] += h
-            up, _, _, _ = est.loss(pos, neg, gamma=1.0)
+            up, _, _ = est.loss(pos, neg, gamma=1.0)
             neg[i, k, j] -= 2 * h
-            down, _, _, _ = est.loss(pos, neg, gamma=1.0)
+            down, _, _ = est.loss(pos, neg, gamma=1.0)
             neg[i, k, j] += h
             assert g_neg[i, k, j] == pytest.approx((up - down) / (2 * h), rel=1e-4)
 
@@ -179,17 +180,16 @@ class TestEstimatorLossGradients:
     def test_training_separates_two_blobs(self):
         # nominal latents near the origin, negatives shifted away: after a few
         # optimizer steps the estimator must rank nominal above negatives
-        from chadkit.nn import Adam, pack
+        from chadkit.nn import Adam
         rng = np.random.default_rng(13)
         est = Estimator(4, dropout=0.0, rng=rng)
         pos = rng.normal(size=(200, 4)) * 0.3
         neg = rng.normal(size=(200, 3, 4)) * 0.3 + 2.0
-        flat, params = pack(est.params())
-        est.stack.bind(params)
-        opt = Adam(flat, params, lr=5e-3)
+        flat, grad, params, _ = pack({"": est.stack})
+        opt = Adam(flat, grad, params, lr=5e-3)
         for _ in range(300):
-            _, grads, _, _ = est.loss(pos, neg, gamma=1.0)
-            opt.step(grads)
+            est.loss(pos, neg, gamma=1.0)
+            opt.step()
         f_pos = est.score(pos).mean()
         f_neg = est.score(neg.reshape(-1, 4)).mean()
         assert f_pos > f_neg + 0.5

@@ -92,22 +92,61 @@ class TestJointLoss:
         rng = np.random.default_rng(5)
         ncat, ncont = generate_negatives_batch(cat, cont, neg, toy_data.schema, rng)
 
-        recon_only, _, l_r, l_est = model.loss_joint(
+        recon_only, l_r, l_est = model.loss_joint(
             cat, cont, ncat, ncont, None, (1, 0), lam=1.0, gamma=1.0)
         assert l_est is None
-        direct, _ = model.loss_recon(cat, cont)
+        direct = model.autoencoder.reconstruction_loss(cat, cont)
         assert recon_only == pytest.approx(direct, rel=1e-12)
 
-        est_only, _, l_r, l_est = model.loss_joint(
+        est_only, l_r, l_est = model.loss_joint(
             cat, cont, ncat, ncont, None, (0, 1), lam=0.123, gamma=1.0)
         assert l_r is None
-        direct_est, _ = model.loss_estimator(cat, cont, ncat, ncont, None, 1.0)
+        direct_est = model.loss_estimator(cat, cont, ncat, ncont, None, 1.0)
         assert est_only == pytest.approx(direct_est, rel=1e-12)
 
         lam = math.exp(-1)
-        both, _, l_r, l_est = model.loss_joint(
+        both, l_r, l_est = model.loss_joint(
             cat, cont, ncat, ncont, None, (1, 1), lam=lam, gamma=1.0)
         assert both == pytest.approx(lam * l_r + l_est, rel=1e-12)
+
+    @staticmethod
+    def _batch(data):
+        cat, cont = data.cat[:16], data.cont[:16]
+        ncat, ncont = generate_negatives_batch(cat, cont, NegSamplerConfig(m=3), data.schema,
+                                               np.random.default_rng(5))
+        noise = np.random.default_rng(6).standard_normal((ncat.shape[0], 6))
+        return cat, cont, ncat, ncont, noise
+
+    def test_joint_gradient_is_the_gated_sum_bitwise(self, toy_data):
+        model = build_model(toy_data)
+        cat, cont, ncat, ncont, noise = self._batch(toy_data)
+        # on a fresh model the estimator's part of this gradient is zero
+        model.autoencoder.reconstruction_loss(cat, cont)
+        recon = model.grad.copy()
+        model.loss_estimator(cat, cont, ncat, ncont, noise, 1.3)
+        contrastive = model.grad.copy()
+        model.loss_joint(cat, cont, ncat, ncont, noise, (1, 1), lam=0.4, gamma=1.3)
+        assert model.grad.tobytes() == (0.4 * recon + contrastive).tobytes()
+
+    @pytest.mark.parametrize("loss", ["recon", "contrastive", "estimator", "joint",
+                                      "joint_recon_only"])
+    def test_a_second_call_leaves_the_same_gradient_bitwise(self, toy_data, loss):
+        model = build_model(toy_data)
+        cat, cont, ncat, ncont, noise = self._batch(toy_data)
+        calls = {
+            "recon": lambda: model.autoencoder.reconstruction_loss(cat, cont),
+            "contrastive": lambda: model.loss_estimator(cat, cont, ncat, ncont, noise, 1.3),
+            "estimator": lambda: model.estimator.loss(
+                model.encode(cat, cont), model.encode(ncat, ncont).reshape(16, 3, 6), 1.3),
+            "joint": lambda: model.loss_joint(cat, cont, ncat, ncont, noise, (1, 1), 0.4, 1.3),
+            "joint_recon_only": lambda: model.loss_joint(cat, cont, None, None, None,
+                                                         (1, 0), 0.4, 1.3),
+        }
+        calls[loss]()
+        first = model.grad.copy()
+        assert first.any()
+        calls[loss]()
+        assert model.grad.tobytes() == first.tobytes()
 
     def test_weighting_arithmetic(self):
         # hand-set parts: 0.4 * exp(-1) + 0.2
@@ -120,15 +159,15 @@ class TestJointLoss:
         ncat, ncont = generate_negatives_batch(
             cat, cont, NegSamplerConfig(m=2), toy_data.schema,
             np.random.default_rng(0))
-        a, _, _, _ = model.loss_joint(cat, cont, ncat, ncont, None, (0, 1), 0.9, 1.0)
-        b, _, _, _ = model.loss_joint(cat, cont, ncat, ncont, None, (0, 1), 0.1, 1.0)
+        a, _, _ = model.loss_joint(cat, cont, ncat, ncont, None, (0, 1), 0.9, 1.0)
+        b, _, _ = model.loss_joint(cat, cont, ncat, ncont, None, (0, 1), 0.1, 1.0)
         assert a == b
 
     def test_gamma_never_touches_recon_term(self, toy_data):
         model = build_model(toy_data)
         cat, cont = toy_data.cat[:8], toy_data.cont[:8]
-        a, _, _, _ = model.loss_joint(cat, cont, None, None, None, (1, 0), 1.0, 1.0)
-        b, _, _, _ = model.loss_joint(cat, cont, None, None, None, (1, 0), 1.0, 9.0)
+        a, _, _ = model.loss_joint(cat, cont, None, None, None, (1, 0), 1.0, 1.0)
+        b, _, _ = model.loss_joint(cat, cont, None, None, None, (1, 0), 1.0, 9.0)
         assert a == b
 
 
@@ -149,9 +188,9 @@ class TestPhase1:
 
     def test_reconstruction_improves_on_toy_set(self, toy_data):
         model = build_model(toy_data)
-        start, _ = model.loss_recon(toy_data.cat, toy_data.cont)
+        start = model.autoencoder.reconstruction_loss(toy_data.cat, toy_data.cont)
         run_phase1(model, toy_data, TrainSchedule(phase_epochs=(10, 0, 0), **SCHED))
-        end, _ = model.loss_recon(toy_data.cat, toy_data.cont)
+        end = model.autoencoder.reconstruction_loss(toy_data.cat, toy_data.cont)
         assert end < start
 
     def test_burn_in_epoch_means_strictly_decrease(self, toy_data):
@@ -245,10 +284,9 @@ class TestPhase3:
                 noise = streams["noise"].standard_normal((ncat.shape[0], ref.latent_dim))
                 x_e, _ = ref.autoencoder.encode(cat, cont)
                 z_e, _ = ref.autoencoder.encode(ncat, ncont)
-                _, grads, _, _ = ref.estimator.loss(
-                    x_e, (z_e + noise).reshape(len(idx), neg.m, -1), gamma,
-                    streams["dropout"])
-                opt.step({f"est.{k}": g for k, g in grads.items()})
+                ref.estimator.loss(x_e, (z_e + noise).reshape(len(idx), neg.m, -1), gamma,
+                                   streams["dropout"])
+                opt.step()
         got = model.params()
         for key, want in ref.estimator_params().items():
             np.testing.assert_allclose(got[key], want, rtol=1e-9, atol=1e-12)
