@@ -31,8 +31,9 @@ from .data import (RecordSchema, apply_normalize, filter_rare_entities, fit_norm
 from .errors import (ChadkitError, ConfigError, DataError, MetricError, SchemaError,
                      TrainingDiverged)
 from .estimator import SecondaryNoiseSpec
-from .evaluate import (average_precision, latent_projection, score_dataset,
-                       synth_anomalies, vary_anomaly_harness, write_projection_csv)
+from .evaluate import (ScoredRecords, anomaly_ratio_sweep, average_precision,
+                       latent_projection, score_dataset, synth_anomalies,
+                       write_projection_csv)
 from .model import ChadModel, ModelConfig, parameter_count
 from .negsampler import NegSamplerConfig, check_sampler_schema, generate_negatives_batch
 from .persist import load_model, save_model
@@ -262,7 +263,9 @@ def cmd_train(args) -> int:
 
 def _load_for_model(model: ChadModel, stats, data_path, label_field=None):
     """The CSV normalized with the model's ranges, and its load report. A row
-    with a normalized value that is not finite is dropped as non-finite."""
+    with a normalized value that is not finite is dropped as non-finite. The
+    dataset carries ``model.schema`` itself, so scoring it skips the schema
+    hash this function has already compared."""
     header = read_csv_header(data_path)
     wanted = set(model.schema.cat_fields) | set(model.schema.cont_fields)
     missing = wanted - set(header)
@@ -271,6 +274,7 @@ def _load_for_model(model: ChadModel, stats, data_path, label_field=None):
     raw, report = load_csv(data_path, model.schema, label_field=label_field)
     if raw.schema.hash() != model.schema.hash():
         raise SchemaError(f"{data_path} introduced categories not in the model schema")
+    raw.schema = model.schema
     with np.errstate(over="ignore"):
         dataset = apply_normalize(stats, raw)
     bad = ~np.isfinite(dataset.cont).all(axis=1)
@@ -279,12 +283,31 @@ def _load_for_model(model: ChadModel, stats, data_path, label_field=None):
         report.first_nonfinite = report.first_nonfinite or (
             f"kept row {i + 1}, column {model.schema.cont_fields[j]!r}: "
             f"{raw.cont[i, j]} normalizes to {dataset.cont[i, j]}")
-        report.rows_dropped_nonfinite += int(bad.sum())
-        report.rows_kept -= int(bad.sum())
-        # the kept rows are numbered afresh, as load_csv numbers them
-        dataset = dataset.subset(np.flatnonzero(~bad))
-        dataset.ids = np.arange(dataset.n)
+        dataset = _drop_nonfinite(dataset, report, bad)
     return dataset, report
+
+
+def _drop_nonfinite(dataset, report, bad):
+    """``dataset`` less its ``bad`` rows, which ``report`` counts as non-finite.
+    The kept rows are numbered afresh, as load_csv numbers them."""
+    report.rows_dropped_nonfinite += int(bad.sum())
+    report.rows_kept -= int(bad.sum())
+    dataset = dataset.subset(np.flatnonzero(~bad))
+    dataset.ids = np.arange(dataset.n)
+    return dataset
+
+
+def _finite_scores(model: ChadModel, dataset, report):
+    """(dataset, scores) of the rows whose score is finite. A finite row far
+    past the training range can still overflow inside the encoder; such a row
+    is dropped and counted like a row that overflows when normalized, so no
+    nan or inf is written or ranked."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = score_dataset(model, dataset).scores
+    bad = ~np.isfinite(scores)
+    if bad.any():
+        dataset, scores = _drop_nonfinite(dataset, report, bad), scores[~bad]
+    return dataset, scores
 
 
 def cmd_score(args) -> int:
@@ -295,7 +318,8 @@ def cmd_score(args) -> int:
         raise ConfigError("score needs --out for the CSV path")
     model, stats = load_model(args.model)
     dataset, report = _load_for_model(model, stats, args.data)
-    scored = score_dataset(model, dataset).sorted_ascending()
+    dataset, scores = _finite_scores(model, dataset, report)
+    scored = ScoredRecords(dataset.ids, scores).sorted_ascending()
     out_path = Path(args.out)
     # the bytes csv.writer would write, in one write
     lines = map("{},{:.12g}\r\n".format, scored.ids.tolist(), scored.scores.tolist())
@@ -314,22 +338,30 @@ def cmd_score(args) -> int:
 # ---- eval ------------------------------------------------------------------
 
 
-def _synthetic_eval(model, test_set, fraction: float, percentages, seeds, seed: int) -> dict:
-    """AP per seed on ``test_set`` plus synthetic anomalies, and the
-    anomaly-ratio sweep when ``percentages`` are given."""
+def _synthetic_eval(model, test_set, nominal_scores, fraction: float, percentages, seeds,
+                    seed: int) -> dict:
+    """AP per seed on ``test_set``, whose scores are given, plus synthetic
+    anomalies, and the anomaly-ratio sweep when ``percentages`` are given. An
+    anomaly whose score is not finite is left out of the ranking and counted."""
     # synth_anomalies appends the anomalies after the unchanged test rows, so
     # the test rows are scored once and each seed scores only its anomalies
-    nominal_scores = score_dataset(model, test_set).scores
-    aps = []
+    n, aps, dropped = test_set.n, [], 0
+
+    def anomaly_scores(labeled):
+        nonlocal dropped
+        scores = model.score_records(labeled.cat[n:], labeled.cont[n:])
+        finite = np.isfinite(scores)
+        dropped += int((~finite).sum())
+        return scores[finite]
+
     for s in seeds:
         labeled = synth_anomalies(test_set, fraction, np.random.default_rng(s))
-        if labeled.n == test_set.n:
-            raise MetricError(f"anomaly_fraction {fraction:g} of {test_set.n} test rows "
+        if labeled.n == n:
+            raise MetricError(f"anomaly_fraction {fraction:g} of {n} test rows "
                               f"gives no anomalies")
-        anomaly_scores = model.score_records(labeled.cat[test_set.n:],
-                                             labeled.cont[test_set.n:])
-        aps.append(average_precision(np.concatenate([nominal_scores, anomaly_scores]),
-                                     labeled.labels))
+        scores = anomaly_scores(labeled)
+        aps.append(average_precision(np.concatenate([nominal_scores, scores]),
+                                     labeled.labels[:n + len(scores)]))
     report = {
         "anomaly_fraction": fraction,
         "ap_per_seed": [{"seed": int(s), "ap": float(a)} for s, a in zip(seeds, aps)],
@@ -340,9 +372,9 @@ def _synthetic_eval(model, test_set, fraction: float, percentages, seeds, seed: 
         pool_frac = max(percentages) / 100.0
         pool_frac = pool_frac / (1.0 - pool_frac) * 1.5
         pool = synth_anomalies(test_set, pool_frac, np.random.default_rng(seed + 7919))
-        pool = pool.subset(np.nonzero(pool.labels == 1)[0])
-        report["vary_anomaly"] = vary_anomaly_harness(model, test_set, pool, percentages,
-                                                      seeds)
+        report["vary_anomaly"] = anomaly_ratio_sweep(nominal_scores, anomaly_scores(pool),
+                                                     percentages, seeds)
+    report["anomalies_dropped_nonfinite"] = dropped
     return report
 
 
@@ -358,8 +390,11 @@ def cmd_eval(args) -> int:
 
     model, stats = load_model(config["model"])
     test_set, load_report = _load_for_model(model, stats, config["test_data"])
+    test_set, nominal_scores = _finite_scores(model, test_set, load_report)
     try:
-        report = _synthetic_eval(model, test_set, fraction, percentages, seeds, seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = _synthetic_eval(model, test_set, nominal_scores, fraction, percentages,
+                                     seeds, seed)
     except MetricError as err:
         raise MetricError(f"{err}; {config['test_data']}: "
                           f"{_rows_summary(load_report)}") from None

@@ -453,6 +453,13 @@ class NormalizationStats:
         if np.any(self.maxs < self.mins):
             raise ValueError("normalization max < min")
 
+    def overflowing(self) -> Array:
+        """Indices of the fields whose max - min is not a finite float64, such
+        as the span of -1.7e308 to 1.7e308: no value of theirs can be mapped
+        onto the unit range."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.flatnonzero(~np.isfinite(self.maxs - self.mins))
+
     def to_json(self) -> dict:
         return {"mins": self.mins.tolist(), "maxs": self.maxs.tolist()}
 
@@ -462,18 +469,26 @@ class NormalizationStats:
 
 
 def fit_normalize(train: Dataset) -> NormalizationStats:
-    """Fit min-max ranges on training data only."""
+    """Fit min-max ranges on training data only. A field whose range is wider
+    than float64 holds raises DataError naming it."""
     if train.schema.r == 0:
         return NormalizationStats(np.zeros(0), np.zeros(0))
     if train.n == 0:
         raise ValueError("cannot fit normalization on an empty dataset")
     mins = train.cont.min(axis=0)
     maxs = train.cont.max(axis=0)
+    stats = NormalizationStats(mins, maxs)
+    wide = stats.overflowing()
+    if wide.size:
+        j = wide[0]
+        raise DataError(f"continuous field {train.schema.cont_fields[j]!r} spans "
+                        f"{mins[j]:g} to {maxs[j]:g}, a range wider than float64 holds, "
+                        f"so it cannot be normalized")
     for j in np.nonzero(maxs == mins)[0]:
         warnings.warn(
             f"continuous field {train.schema.cont_fields[j]!r} is constant on the "
             f"training data; it will map to 0.5")
-    return NormalizationStats(mins, maxs)
+    return stats
 
 
 def apply_normalize(stats: NormalizationStats, dataset: Dataset) -> Dataset:

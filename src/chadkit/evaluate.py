@@ -113,21 +113,27 @@ def vary_anomaly_harness(model: ChadModel, nominal_test: Dataset, anomaly_pool: 
     seed), mixed with the nominal test rows, scored, and summarized as
     mean +/- sd over the seeds.
     """
-    n = nominal_test.n
-    nominal_scores = score_dataset(model, nominal_test).scores
-    pool_scores = score_dataset(model, anomaly_pool).scores
+    return anomaly_ratio_sweep(score_dataset(model, nominal_test).scores,
+                               score_dataset(model, anomaly_pool).scores, percentages, seeds)
+
+
+def anomaly_ratio_sweep(nominal_scores: Array, pool_scores: Array, percentages,
+                        seeds) -> list[dict]:
+    """``vary_anomaly_harness`` over scores already computed: the nominal
+    rows' and the anomaly pool's."""
+    n = len(nominal_scores)
     rows = []
     for pct in percentages:
         frac = pct / 100.0
         need = int(round(n * frac / (1.0 - frac)))
         if need == 0:
             raise MetricError(f"{pct}% of {n} nominal rows gives no anomalies")
-        if need > anomaly_pool.n:
+        if need > len(pool_scores):
             raise MetricError(f"anomaly pool too small for {pct}% "
-                              f"({need} needed, {anomaly_pool.n} available)")
+                              f"({need} needed, {len(pool_scores)} available)")
         aps = []
         for seed in seeds:
-            pick = np.random.default_rng(seed).choice(anomaly_pool.n, size=need,
+            pick = np.random.default_rng(seed).choice(len(pool_scores), size=need,
                                                       replace=False)
             scores = np.concatenate([nominal_scores, pool_scores[pick]])
             labels = np.concatenate([np.zeros(n, dtype=int), np.ones(need, dtype=int)])

@@ -67,7 +67,8 @@ def check_sampler_schema(schema: RecordSchema):
 
 def _perturb_cat_batch(cat: Array, counts: Array, probs: Array, arities: Array,
                        rng: np.random.Generator):
-    """Vectorized categorical pass for S rows; returns (new_cat, selection mask).
+    """Vectorized categorical pass for S rows, in place: ``cat`` is a fresh
+    array of the caller's, changed and returned with the selection mask.
 
     Fields are drawn without replacement proportionally to ``probs``;
     arity-1 fields are skipped (there is no different value to swap in).
@@ -88,15 +89,14 @@ def _perturb_cat_batch(cat: Array, counts: Array, probs: Array, arities: Array,
     np.put_along_axis(ranks, order, np.arange(k), axis=1)
     selected = ranks < counts[:, None]
 
-    new_cat = cat.copy()
     for w in range(k):
         if not eligible[w]:
             continue
         draws = rng.integers(0, arities[w] - 1, size=s)
         draws += draws >= cat[:, w]
         col = selected[:, w]
-        new_cat[col, w] = draws[col]
-    return new_cat, selected
+        cat[col, w] = draws[col]
+    return cat, selected
 
 
 def perturb_continuous(values: Array, delta: float, rng: np.random.Generator):
@@ -106,25 +106,30 @@ def perturb_continuous(values: Array, delta: float, rng: np.random.Generator):
     from (-delta, 1 - delta). Returns (new_values, up_indices, down_indices);
     no clamping is applied.
     """
-    values = np.asarray(values, dtype=float)
+    # a copy: the batch pass changes its rows in place
+    values = np.array(values, dtype=float)
     new_vals, j_up, j_down = _perturb_cont_batch(values[None, :], delta, rng)
     return new_vals[0], j_up[0], j_down[0]
 
 
 def _perturb_cont_batch(values: Array, delta: float, rng: np.random.Generator):
+    """The continuous pass over S rows, in place: ``values`` is a fresh
+    C-contiguous (S, r) array of the caller's, changed and returned with the
+    up and down indices."""
     s, r = values.shape
     q = r // 4
-    new_vals = values.copy()
     if q == 0:
         empty = np.zeros((s, 0), dtype=np.int64)
-        return new_vals, empty, empty
+        return values, empty, empty
     perm = np.argsort(rng.random((s, r)), axis=1)
     j_up = perm[:, :q]
     j_down = perm[:, q:2 * q]
-    rows = np.arange(s)[:, None]
-    new_vals[rows, j_up] += rng.random((s, q)) + delta
-    new_vals[rows, j_down] += rng.random((s, q)) - delta
-    return new_vals, j_up, j_down
+    # one flat index per cell adds faster than a (row, column) pair of indices
+    flat = values.reshape(-1)
+    rows = np.arange(0, s * r, r)[:, None]
+    flat[rows + j_up] += rng.random((s, q)) + delta
+    flat[rows + j_down] += rng.random((s, q)) - delta
+    return values, j_up, j_down
 
 
 def generate_negatives_batch(cat: Array, cont: Array, config: NegSamplerConfig,

@@ -110,6 +110,9 @@ def load_model(path):
                 raise DataError(f"{path}: the header's {key} does not match its "
                                 f"schema and model_config")
         stats = NormalizationStats.from_json(header["normalization"])
+        if stats.mins.shape != (schema.r,) or stats.maxs.shape != (schema.r,):
+            raise DataError(f"{path}: the header's normalization does not hold one range "
+                            f"per continuous field")
         entries = [(str(e["name"]), tuple(int(d) for d in e["shape"]))
                    for e in header["params"]]
         # nothing is allocated from sizes the payload cannot back
@@ -137,4 +140,8 @@ def load_model(path):
         bad = np.flatnonzero(~np.isfinite(getattr(stats, key)))
         if bad.size:
             raise DataError(f"{path}: normalization.{key}[{bad[0]}] is not finite")
+    wide = stats.overflowing()
+    if wide.size:
+        raise DataError(f"{path}: the normalization range of "
+                        f"{schema.cont_fields[wide[0]]!r} is wider than float64 holds")
     return model, stats

@@ -158,7 +158,7 @@ def test_criterion_3_negative_sampler_statistics():
             assert set(up.tolist()).isdisjoint(down.tolist())
     # vectorized interval check over the full set
     from chadkit.negsampler import _perturb_cont_batch
-    out, j_up, j_down = _perturb_cont_batch(values, delta, rng)
+    out, j_up, j_down = _perturb_cont_batch(values.copy(), delta, rng)
     assert j_up.shape == (draws, 2) and j_down.shape == (draws, 2)
     rows = np.arange(draws)[:, None]
     inc_up = out[rows, j_up] - values[rows, j_up]
@@ -344,6 +344,8 @@ def test_criterion_8_vary_anomaly_harness(desk_models):
 # reproducible on its own.
 PINNED_DESK_SHA256 = "7827a3279eada28449be6fbb89f4c737331fb35555dc82106e0c32b4a70b9f40"
 PINNED_BUILD = ("2.4.6", "scipy-openblas", "0.3.31")
+# SHA-256 of the little-endian float64 scores of that model's 1000 held-out rows
+PINNED_DESK_SCORES_SHA256 = "33f44292454d8f40085819797e7229becf501af5c0b743120583736c672180fe"
 
 
 def _numpy_blas_build():
@@ -353,6 +355,12 @@ def _numpy_blas_build():
     except (TypeError, KeyError):   # numpy < 1.26 has no mode="dicts"
         return None
     return np.__version__, blas.get("name"), str(blas.get("version", ""))
+
+
+def _on_pinned_build() -> bool:
+    build = _numpy_blas_build()
+    return build is not None and build[:2] == PINNED_BUILD[:2] \
+        and build[2].startswith(PINNED_BUILD[2])
 
 
 def test_pinned_model_hash(desk_models, tmp_path):
@@ -372,8 +380,7 @@ def test_pinned_model_hash(desk_models, tmp_path):
     ck.save_model(tmp_path / "desk1.chad", model, ck.fit_normalize(_desk_split(1)[0]))
     digest = hashlib.sha256((tmp_path / "desk1.chad").read_bytes()).hexdigest()
     build = _numpy_blas_build()
-    pinned = build is not None and build[:2] == PINNED_BUILD[:2] \
-        and build[2].startswith(PINNED_BUILD[2])
+    pinned = _on_pinned_build()
     if pinned:
         assert digest == PINNED_DESK_SHA256
     _report("pinned-model-hash",
@@ -381,3 +388,17 @@ def test_pinned_model_hash(desk_models, tmp_path):
             f"{digest[:8]}... " + ("equals the pinned hash" if pinned else
                                   f"not compared: numpy/BLAS {build} is not the "
                                   f"pinned {PINNED_BUILD}, byte equality only"))
+
+
+def test_pinned_desk_scores(desk_models):
+    # scoring runs in blocks of SCORE_CHUNK_ROWS rows: a block size, or any
+    # other change to the scoring path, that moves a score's bits shows here
+    model, test_n = desk_models[1]
+    scores = model.score_records(test_n.cat, test_n.cont)
+    assert scores.shape == (1000,) and np.all(np.isfinite(scores))
+    digest = hashlib.sha256(scores.astype("<f8").tobytes()).hexdigest()
+    if not _on_pinned_build():
+        pytest.skip(f"numpy/BLAS {_numpy_blas_build()} is not the pinned {PINNED_BUILD}")
+    assert digest == PINNED_DESK_SCORES_SHA256
+    _report("pinned-desk-scores",
+            f"desk seed-1 held-out scores sha256 {digest[:8]}... equals the pinned hash")

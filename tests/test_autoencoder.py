@@ -245,13 +245,21 @@ class TestChunkedScoring:
     @pytest.mark.parametrize("arities, r", [((3, 7, 12), 5), ((), 6)])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunked_passes_match_one_pass(self, arities, r, offset):
-        from chadkit.model import SCORE_CHUNK_ROWS, ChadModel
+        from chadkit.model import SCORE_CHUNK_ROWS
+        self._check_chunks(arities, r, SCORE_CHUNK_ROWS + offset)
+
+    def test_several_blocks_and_a_short_tail_match_one_pass(self):
+        from chadkit.model import SCORE_CHUNK_ROWS
+        self._check_chunks((3, 7, 12), 5, 3 * SCORE_CHUNK_ROWS + 1)
+
+    @staticmethod
+    def _check_chunks(arities, r, n):
+        from chadkit.model import ChadModel
         schema = schema_with(arities, r)
         rng = np.random.default_rng(11)
         model = ChadModel(schema, ModelConfig(encoder_sizes=(16, 8, 4)), rng)
         for layer in model.autoencoder.encoder.layers:
             layer.b[...] = rng.normal(size=layer.b.shape)
-        n = SCORE_CHUNK_ROWS + offset
         cat = np.stack([rng.integers(0, a, n) for a in arities], axis=1) if arities \
             else np.zeros((n, 0), dtype=np.int64)
         cont = rng.random((n, r))

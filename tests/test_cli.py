@@ -4,17 +4,55 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chadkit.cli import main
-from chadkit.data import RecordSchema
+from chadkit.data import NormalizationStats, RecordSchema
+from chadkit.model import ChadModel, ModelConfig
 from chadkit.persist import load_model, save_model
 from chadkit.synthdata import make_clustered_dataset
 
 from conftest import read_csv, write_csv, write_schema_json
+
+
+def _quiet_main(argv) -> int:
+    """``main(argv)``, failing on any warning it emits."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(argv)
+
+
+@pytest.fixture(scope="module")
+def overflowing_scores(tmp_path_factory):
+    """A model file, a CSV of finite rows, and the rows' in-process scores,
+    some of them nan. Each row holds one cell 1.7e308 and one -1.7e308. With
+    the first layer's weights scaled past 1, the continuous block's matmul
+    overflows to +inf on one and -inf on the other, and the BLAS adds them
+    to nan when the two cells fall in different blocks of its inner loop,
+    which takes more continuous fields than the BLAS's block length."""
+    root = tmp_path_factory.mktemp("overflow")
+    n, r = 200, 600
+    schema = RecordSchema(["c"], [f"x{j}" for j in range(r)], [{"a": 0, "b": 1}])
+    model = ChadModel(schema, ModelConfig(encoder_sizes=(8, 4)), np.random.default_rng(0))
+    model.autoencoder.encoder.layers[0].W[...] *= 50
+    # unit spans: normalizing leaves every cell as it is, and finite
+    save_model(root / "model.chad", model, NormalizationStats(np.zeros(r), np.ones(r)))
+    rng = np.random.default_rng(1)
+    cat = rng.integers(0, 2, (n, 1))
+    cont = np.full((n, r), 0.5)
+    cont[np.arange(n), rng.integers(0, r, n)] = 1.7e308
+    cont[np.arange(n), rng.integers(0, r, n)] = -1.7e308
+    write_csv(root / "data.csv", schema, cat, cont)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = model.score_records(cat, cont)
+    if not np.isnan(scores).any():
+        pytest.skip("this BLAS sums the overflowing products without a nan")
+    assert np.isfinite(scores).any()
+    return root, scores
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +234,24 @@ class TestTrain:
         assert message in capsys.readouterr().err
 
 
+    def test_range_wider_than_float64_exits_2_naming_it(self, workspace, tmp_path, capsys):
+        # max - min of the column overflows, which used to warn three times and
+        # then fail phase 1 with a nan loss (exit 4)
+        src = (workspace / "train.csv").read_text().splitlines()
+        column = src[0].split(",")[3]
+        rows = [line.split(",") for line in src[1:]]
+        rows[0][3], rows[1][3] = "1.7e308", "-1.7e308"
+        data = tmp_path / "wide.csv"
+        data.write_text("\n".join([src[0], *map(",".join, rows)]) + "\n")
+        config = json.loads((workspace / "train_cfg.json").read_text())
+        config.update(train_data=str(data), out_dir=str(tmp_path / "out"))
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert _quiet_main(["train", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert f"continuous field {column!r} spans -1.7e+308 to 1.7e+308," \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestScore:
     def test_scores_sorted_ascending(self, workspace, tmp_path):
         out = tmp_path / "scores.csv"
@@ -276,6 +332,21 @@ class TestScore:
         assert all(math.isfinite(float(r[1])) for r in rows)
         report = json.loads(out.with_suffix(".csv.report.json").read_text())
         assert report["rows_dropped_nonfinite"] == 1 and report["rows_kept"] == 2
+
+    def test_row_whose_score_overflows_is_dropped(self, overflowing_scores, tmp_path):
+        root, scores = overflowing_scores
+        finite = np.isfinite(scores)
+        out = tmp_path / "scores.csv"
+        assert _quiet_main(["score", "--model", str(root / "model.chad"),
+                            "--data", str(root / "data.csv"), "--out", str(out)]) == 0
+        written = {int(i): float(s) for i, s in read_csv(out)[1:]}
+        # the kept rows are numbered afresh, in file order
+        assert sorted(written) == list(range(finite.sum()))
+        assert np.allclose([written[i] for i in range(finite.sum())], scores[finite],
+                           rtol=1e-11, atol=0)
+        report = json.loads(out.with_suffix(".csv.report.json").read_text())
+        assert report["rows_dropped_nonfinite"] == (~finite).sum()
+        assert report["rows_kept"] == finite.sum()
 
     @pytest.mark.parametrize("content, message", [
         (b"\xff\xfe", "line 1 is not valid UTF-8"),
@@ -368,6 +439,20 @@ class TestEval:
         rows = read_csv(tmp_path / "eval/vary_anomaly.csv")
         assert rows[0] == ["percent", "ap_mean", "ap_sd", "runs"]
         assert len(rows) == 3
+
+    def test_row_whose_score_overflows_is_not_ranked(self, overflowing_scores, tmp_path):
+        root, scores = overflowing_scores
+        config = {"model": str(root / "model.chad"), "test_data": str(root / "data.csv"),
+                  "anomaly_fraction": 1.0, "seeds": [0, 1], "out_dir": str(tmp_path / "eval")}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert _quiet_main(["eval", "--config", str(tmp_path / "cfg.json")]) == 0
+        report = json.loads((tmp_path / "eval/eval_report.json").read_text())
+        assert report["load_report"]["rows_dropped_nonfinite"] == np.isnan(scores).sum()
+        assert report["load_report"]["rows_kept"] == np.isfinite(scores).sum()
+        # a row's overflows depend on the batch the BLAS sums it in, so an
+        # anomaly can score nan where its source row did not; it is counted
+        assert "anomalies_dropped_nonfinite" in report
+        assert all(0.0 <= row["ap"] <= 1.0 for row in report["ap_per_seed"])
 
     @pytest.mark.parametrize("settings, message", [
         ({"percentages": [2, 5]}, "2% of 12 nominal rows gives no anomalies"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chadkit.data import Dataset, apply_normalize, fit_normalize, load_csv
+from chadkit.data import Dataset, RecordSchema, apply_normalize, fit_normalize, load_csv
 from chadkit.errors import MetricError, SchemaError
 from chadkit.estimator import SecondaryNoiseSpec
 from chadkit.evaluate import (average_precision, latent_projection,
@@ -109,6 +109,28 @@ class TestScoreDataset:
         other = Dataset(
             small_schema.__class__(["c"], ["x"], [{"a": 0}]),
             np.zeros((2, 1), dtype=np.int64), np.zeros((2, 1)))
+        with pytest.raises(SchemaError):
+            score_dataset(tiny_model, other)
+
+    def test_own_schema_object_is_not_hashed(self, tiny_model, small_dataset, monkeypatch):
+        assert small_dataset.schema is tiny_model.schema
+
+        def refuse(schema):
+            raise AssertionError("the model's own schema was hashed")
+        monkeypatch.setattr(RecordSchema, "hash", refuse)
+        assert score_dataset(tiny_model, small_dataset).scores.shape == (small_dataset.n,)
+
+    def test_equal_schema_copy_passes(self, tiny_model, small_dataset, small_schema):
+        copy = RecordSchema.from_json(small_schema.to_json())
+        same = Dataset(copy, small_dataset.cat, small_dataset.cont)
+        assert np.array_equal(score_dataset(tiny_model, same).scores,
+                              score_dataset(tiny_model, small_dataset).scores)
+
+    def test_other_vocabulary_rejected(self, tiny_model, small_dataset, small_schema):
+        vocabs = small_schema.to_json()["vocabs"]
+        vocabs[0]["purple"] = 3
+        other = Dataset(RecordSchema(small_schema.cat_fields, small_schema.cont_fields, vocabs),
+                        small_dataset.cat, small_dataset.cont)
         with pytest.raises(SchemaError):
             score_dataset(tiny_model, other)
 

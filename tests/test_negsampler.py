@@ -6,7 +6,7 @@ from scipy import stats
 
 from chadkit.data import RecordSchema
 from chadkit.errors import ConfigError, SchemaError
-from chadkit.negsampler import (NegSamplerConfig, category_probs,
+from chadkit.negsampler import (NegSamplerConfig, _perturb_cont_batch, category_probs,
                                 check_sampler_schema, generate_negatives_batch,
                                 perturb_continuous)
 
@@ -133,7 +133,27 @@ class TestPerturbContinuous:
         assert np.all(out[up] > 1.0)
 
 
+    def test_batch_pass_matches_row_column_indexing(self):
+        values = np.random.default_rng(3).random((50, 13))
+        out, up, down = _perturb_cont_batch(values.copy(), 0.5, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        perm = np.argsort(rng.random((50, 13)), axis=1)
+        rows, expected = np.arange(50)[:, None], values.copy()
+        expected[rows, perm[:, :3]] += rng.random((50, 3)) + 0.5
+        expected[rows, perm[:, 3:6]] += rng.random((50, 3)) - 0.5
+        assert np.array_equal(out, expected)
+        assert np.array_equal(up, perm[:, :3]) and np.array_equal(down, perm[:, 3:6])
+
+
 class TestGenerateNegatives:
+    def test_inputs_are_left_unchanged(self, small_schema):
+        cat = np.array([[1, 0], [2, 1]])
+        cont = np.array([[0.2, 0.4, 0.6, 0.8], [0.1, 0.3, 0.5, 0.7]])
+        before = cat.copy(), cont.copy()
+        generate_negatives_batch(cat, cont, NegSamplerConfig(m=5), small_schema,
+                                 np.random.default_rng(2))
+        assert np.array_equal(cat, before[0]) and np.array_equal(cont, before[1])
+
     def test_each_sample_differs_from_source(self, small_schema):
         rng = np.random.default_rng(10)
         cat = np.array([[1, 0], [2, 1]])

@@ -260,6 +260,21 @@ class TestNonFiniteContents:
             load_model(tmp_path / "m.chad")
 
 
+    def test_normalization_of_another_width_refused(self, tmp_path, model_and_stats):
+        # it used to load, and then scoring failed with a broadcast traceback
+        model, _ = model_and_stats
+        save_model(tmp_path / "m.chad", model, NormalizationStats(np.zeros(3), np.ones(3)))
+        with pytest.raises(DataError, match="one range per continuous field"):
+            load_model(tmp_path / "m.chad")
+
+    def test_normalization_range_wider_than_float64_refused(self, tmp_path, model_and_stats):
+        model, stats = model_and_stats
+        stats.mins[1], stats.maxs[1] = -1.7e308, 1.7e308
+        save_model(tmp_path / "m.chad", model, stats)
+        with pytest.raises(DataError, match="range of 'weight' is wider than float64 holds"):
+            load_model(tmp_path / "m.chad")
+
+
 @pytest.fixture(scope="module")
 def model_bytes(tmp_path_factory):
     schema = RecordSchema(["color", "shape"], ["size", "weight", "width", "height"],
