@@ -262,52 +262,28 @@ def cmd_train(args) -> int:
 
 
 def _load_for_model(model: ChadModel, stats, data_path, label_field=None):
-    """The CSV normalized with the model's ranges, and its load report. A row
-    with a normalized value that is not finite is dropped as non-finite. The
-    dataset carries ``model.schema`` itself, so scoring it skips the schema
-    hash this function has already compared."""
+    """(dataset, scores, load report) of the CSV rows the model scores, the
+    one rule of ``score``, ``eval`` and ``viz-latent``. The rows are
+    normalized with the model's ranges and scored; a row whose normalized
+    values or score are not all finite (a finite cell can overflow in either
+    step) is dropped and counted as non-finite, and the kept rows are
+    numbered afresh, as load_csv numbers them."""
     header = read_csv_header(data_path)
     wanted = set(model.schema.cat_fields) | set(model.schema.cont_fields)
     missing = wanted - set(header)
     if missing:
         raise SchemaError(f"{data_path} lacks model schema columns {sorted(missing)}")
-    raw, report = load_csv(data_path, model.schema, label_field=label_field)
-    if raw.schema.hash() != model.schema.hash():
-        raise SchemaError(f"{data_path} introduced categories not in the model schema")
-    raw.schema = model.schema
-    with np.errstate(over="ignore"):
-        dataset = apply_normalize(stats, raw)
-    bad = ~np.isfinite(dataset.cont).all(axis=1)
-    if bad.any():
-        i, j = np.argwhere(~np.isfinite(dataset.cont))[0]
-        report.first_nonfinite = report.first_nonfinite or (
-            f"kept row {i + 1}, column {model.schema.cont_fields[j]!r}: "
-            f"{raw.cont[i, j]} normalizes to {dataset.cont[i, j]}")
-        dataset = _drop_nonfinite(dataset, report, bad)
-    return dataset, report
-
-
-def _drop_nonfinite(dataset, report, bad):
-    """``dataset`` less its ``bad`` rows, which ``report`` counts as non-finite.
-    The kept rows are numbered afresh, as load_csv numbers them."""
-    report.rows_dropped_nonfinite += int(bad.sum())
-    report.rows_kept -= int(bad.sum())
-    dataset = dataset.subset(np.flatnonzero(~bad))
-    dataset.ids = np.arange(dataset.n)
-    return dataset
-
-
-def _finite_scores(model: ChadModel, dataset, report):
-    """(dataset, scores) of the rows whose score is finite. A finite row far
-    past the training range can still overflow inside the encoder; such a row
-    is dropped and counted like a row that overflows when normalized, so no
-    nan or inf is written or ranked."""
+    dataset, report = load_csv(data_path, model.schema, label_field=label_field)
     with np.errstate(over="ignore", invalid="ignore"):
+        dataset = apply_normalize(stats, dataset)
         scores = score_dataset(model, dataset).scores
-    bad = ~np.isfinite(scores)
+    bad = ~(np.isfinite(dataset.cont).all(axis=1) & np.isfinite(scores))
     if bad.any():
-        dataset, scores = _drop_nonfinite(dataset, report, bad), scores[~bad]
-    return dataset, scores
+        report.rows_dropped_nonfinite += int(bad.sum())
+        report.rows_kept -= int(bad.sum())
+        dataset, scores = dataset.subset(np.flatnonzero(~bad)), scores[~bad]
+        dataset.ids = np.arange(dataset.n)
+    return dataset, scores, report
 
 
 def cmd_score(args) -> int:
@@ -317,8 +293,7 @@ def cmd_score(args) -> int:
     if not args.out:
         raise ConfigError("score needs --out for the CSV path")
     model, stats = load_model(args.model)
-    dataset, report = _load_for_model(model, stats, args.data)
-    dataset, scores = _finite_scores(model, dataset, report)
+    dataset, scores, report = _load_for_model(model, stats, args.data)
     scored = ScoredRecords(dataset.ids, scores).sorted_ascending()
     out_path = Path(args.out)
     # the bytes csv.writer would write, in one write
@@ -389,8 +364,8 @@ def cmd_eval(args) -> int:
     seeds = config.get("seeds", [seed + i for i in range(5)])
 
     model, stats = load_model(config["model"])
-    test_set, load_report = _load_for_model(model, stats, config["test_data"])
-    test_set, nominal_scores = _finite_scores(model, test_set, load_report)
+    test_set, nominal_scores, load_report = _load_for_model(model, stats,
+                                                            config["test_data"])
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             report = _synthetic_eval(model, test_set, nominal_scores, fraction, percentages,
@@ -476,15 +451,21 @@ def cmd_viz_latent(args) -> int:
 
     out = _out_dir(config, args)
     model, stats = load_model(model_path)
-    dataset, _ = _load_for_model(model, stats, data_path,
-                                 label_field=config.get("label_field"))
+    dataset, _, _ = _load_for_model(model, stats, data_path,
+                                    label_field=config.get("label_field"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vectors = model.encode(dataset.cat, dataset.cont)
+        if source == "estimator":
+            vectors = model.estimator.penultimate(vectors)
+    # a row that scored finite can still encode to nan here: the BLAS may sum
+    # its products differently among the rows of another block
+    keep = np.isfinite(vectors).all(axis=1)
+    if keep.sum() < 2:
+        raise DataError(f"{data_path}: {keep.sum()} rows left to project, need 2")
     _make_dir(out)
-    vectors = model.encode(dataset.cat, dataset.cont)
-    if source == "estimator":
-        vectors = model.estimator.penultimate(vectors)
-    points, _ = latent_projection(vectors)
+    points, _ = latent_projection(vectors[keep])
     path = out / f"projection_{source}.csv"
-    write_projection_csv(path, points, dataset.labels)
+    write_projection_csv(path, points, None if dataset.labels is None else dataset.labels[keep])
     _write_json(out / "projection_config.json", config)
     print(f"projection written to {path}")
     return EXIT_OK
@@ -496,10 +477,13 @@ def cmd_viz_latent(args) -> int:
 def cmd_negsample_dump(args) -> int:
     config = _config(args)
     neg_config = _build(NegSamplerConfig, config.get("negatives", {}), "negatives")
+    rows = config.get("rows", 3)
+    if rows < 1:
+        raise ConfigError(f"rows must be >= 1, got {rows}")
     out = _out_dir(config, args)
     dataset, _, _ = _load_training(config, "data")
     _make_dir(out)
-    head = dataset.subset(np.arange(min(config.get("rows", 3), dataset.n)))
+    head = dataset.subset(np.arange(min(rows, dataset.n)))
 
     rng = named_streams(config["seed"])["negsampler"]
     neg_cat, neg_cont = generate_negatives_batch(head.cat, head.cont, neg_config,

@@ -370,8 +370,10 @@ class _BlockConverter:
         self.conts.append(cont)
 
     def finish(self):
-        """(dataset, report) of every block added; at least one, maybe empty, was."""
-        schema = RecordSchema(self.schema.cat_fields, self.schema.cont_fields, self.vocabs)
+        """(dataset, report) of every block added; at least one, maybe empty, was.
+        With fixed vocabularies the dataset carries the caller's schema itself."""
+        schema = (RecordSchema(self.schema.cat_fields, self.schema.cont_fields, self.vocabs)
+                  if self.building else self.schema)
         cat, cont = np.concatenate(self.cats), np.concatenate(self.conts)
         labels = np.concatenate(self.labels) if self.label_col is not None else None
         self.report.rows_kept = cat.shape[0]
@@ -423,18 +425,11 @@ def _rebuild_vocab(dataset: Dataset, keep: Array) -> Dataset:
     new_vocabs = []
     new_cat = np.empty_like(cat)
     for w in range(schema.k):
+        # surviving old indices, ascending, are the new vocabulary's order
         surviving = np.unique(cat[:, w])
-        remap = {}
-        vocab = {}
-        for old_idx in sorted(surviving.tolist()):
-            value = schema.decode_value(w, old_idx)
-            remap[old_idx] = len(vocab)
-            vocab[value] = remap[old_idx]
-        new_vocabs.append(vocab)
-        lut = np.full(len(schema.vocabs[w]), -1, dtype=np.int64)
-        for old_idx, new_idx in remap.items():
-            lut[old_idx] = new_idx
-        new_cat[:, w] = lut[cat[:, w]]
+        new_cat[:, w] = np.searchsorted(surviving, cat[:, w])
+        new_vocabs.append({schema.decode_value(w, old): new
+                           for new, old in enumerate(surviving.tolist())})
     new_schema = RecordSchema(schema.cat_fields, schema.cont_fields, new_vocabs)
     labels = None if dataset.labels is None else dataset.labels[keep]
     return Dataset(new_schema, new_cat, dataset.cont[keep], labels, dataset.ids[keep])
@@ -498,8 +493,9 @@ def apply_normalize(stats: NormalizationStats, dataset: Dataset) -> Dataset:
     outside it, unclamped: the detector's negatives are pushed past the
     observed range, so that is where it learns to flag records. Constant
     training fields map to 0.5 everywhere. A finite value far past a narrow
-    range can overflow to +-inf; ``score``, ``eval`` and ``viz-latent`` drop
-    such a row and count it in ``rows_dropped_nonfinite``.
+    range can overflow to +-inf and is left so; ``cli._load_for_model`` drops
+    such a row for ``score``, ``eval`` and ``viz-latent`` and counts it in
+    ``rows_dropped_nonfinite``.
     """
     if dataset.schema.r == 0:
         return dataset

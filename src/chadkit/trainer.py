@@ -51,6 +51,8 @@ class TrainSchedule:
             raise ValueError("phase_epochs must be three non-negative counts")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be > 0")
         if self.gamma_max < self.gamma_start:
             raise ValueError("gamma_max must be >= gamma_start")
 

@@ -400,6 +400,20 @@ class TestScore:
         assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["score", "viz-latent"])
+def test_model_with_empty_vocabulary_exits_3(tmp_path, capsys, command):
+    # with every vocabulary empty, load_csv builds one from the file, and the
+    # model refuses the dataset's schema
+    schema = RecordSchema(["c"], ["x"])
+    model = ChadModel(schema, ModelConfig(encoder_sizes=(4, 2)), np.random.default_rng(0))
+    save_model(tmp_path / "model.chad", model, NormalizationStats(np.zeros(1), np.ones(1)))
+    (tmp_path / "data.csv").write_text("c,x\na,0.5\nb,0.2\n")
+    assert main([command, "--model", str(tmp_path / "model.chad"),
+                 "--data", str(tmp_path / "data.csv"), "--out", str(tmp_path / "out")]) == 3
+    assert "schema mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, flag", [
     *[(command, flag) for command in ("train", "eval", "bench-concept", "negsample-dump")
       for flag in ("--model", "--data")],
@@ -530,6 +544,25 @@ class TestVizLatent:
         assert main(["viz-latent", "--config", str(tmp_path / "cfg.json")]) == 0
         rows = read_csv(tmp_path / "viz3/projection_latent.csv")
         assert [r[2] for r in rows[1:]] == ["0", "1"] * 4
+
+
+    def test_rows_that_encode_to_nan_are_left_out(self, overflowing_scores, tmp_path):
+        root, _ = overflowing_scores
+        assert _quiet_main(["viz-latent", "--model", str(root / "model.chad"),
+                            "--data", str(root / "data.csv"),
+                            "--out", str(tmp_path / "viz")]) == 0
+        rows = read_csv(tmp_path / "viz/projection_latent.csv")[1:]
+        assert len(rows) >= 2
+        assert all(math.isfinite(float(r[0])) and math.isfinite(float(r[1])) for r in rows)
+
+    def test_fewer_than_two_rows_exits_2(self, workspace, tmp_path, capsys):
+        src = (workspace / "train.csv").read_text().splitlines()
+        data = tmp_path / "one_row.csv"
+        data.write_text("\n".join(src[:2]) + "\n")
+        assert main(["viz-latent", "--model", str(workspace / "run/model.chad"),
+                     "--data", str(data), "--out", str(tmp_path / "viz")]) == 2
+        assert "one_row.csv: 1 rows left to project, need 2" in capsys.readouterr().err
+        assert not (tmp_path / "viz").exists()
 
 
 class TestNegsampleDump:

@@ -129,6 +129,7 @@ MALFORMED = [
     ("train", _set("train", [], "negatives"), "negatives must be a JSON object"),
     ("train", _set("train", "x", "train", "batch_size"), "train.batch_size must be"),
     ("train", _set("train", "x", "train", "learning_rate"), "train.learning_rate must"),
+    ("train", _set("train", 0, "train", "learning_rate"), "train: learning_rate must be > 0"),
     ("train", _set("train", [1, "x", 2], "train", "phase_epochs"), "train.phase_epochs"),
     ("train", _set("train", 5, "model", "encoder_sizes"), "model.encoder_sizes must"),
     ("train", _set("train", 2, "model", "dropout_ae"), "model: dropout rates"),
@@ -146,6 +147,7 @@ MALFORMED = [
     ("eval", _set("eval", "x", "anomaly_fraction"), "anomaly_fraction must be"),
     ("eval", _set("eval", [-1], "seeds"), "seeds must be a non-empty list"),
     ("negsample-dump", _set("negsample-dump", "3", "rows"), "rows must be an integer"),
+    ("negsample-dump", _set("negsample-dump", -5, "rows"), "rows must be >= 1, got -5"),
     ("bench-concept", _set("bench-concept", [1], "concept", "blobs", 0, "mean"),
      "concept.blobs[0]: a blob needs a two-value mean"),
 ]

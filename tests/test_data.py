@@ -146,6 +146,18 @@ class TestLoadCsv:
         ds, _ = load_csv(path, small_schema, label_field="label")
         assert ds.labels.tolist() == [1, 0]
 
+    def test_fixed_vocabularies_keep_the_callers_schema(self, tmp_path, small_schema):
+        path = tmp_path / "t.csv"
+        path.write_text("color,shape,size,weight,width,height\n"
+                        "red,circle,1,2,3,4\n"
+                        "mauve,circle,1,2,3,4\n")
+        ds, _ = load_csv(path, small_schema)
+        assert ds.schema is small_schema
+        fresh = RecordSchema(small_schema.cat_fields, small_schema.cont_fields)
+        built, _ = load_csv(path, fresh)
+        assert built.schema is not fresh
+        assert fresh.arities == (0, 0) and built.schema.arities == (2, 1)
+
     def test_vocabulary_built_in_first_appearance_order(self, tmp_path):
         schema = RecordSchema(["c"], ["x"])
         path = tmp_path / "t.csv"
@@ -397,6 +409,25 @@ class TestFilterRare:
         out = filter_rare_entities(ds, 2)
         assert set(out.schema.vocabs[0]) == {"b", "c"}
         assert out.schema.arities == (2,)
+
+    def test_rebuilt_rows_decode_to_their_values_in_old_index_order(self):
+        rng = np.random.default_rng(7)
+        arities = (5, 9, 24)
+        names = [rng.permutation([f"f{w}_{j}" for j in range(a)]).tolist()
+                 for w, a in enumerate(arities)]
+        schema = RecordSchema(["a", "b", "c"], [], [{v: i for i, v in enumerate(n)}
+                                                     for n in names])
+        cat = np.stack([rng.integers(0, a, 300) for a in arities], axis=1)
+        ds = Dataset(schema, cat, np.zeros((300, 0)))
+        out = filter_rare_entities(ds, 12)
+        assert 0 < out.n < ds.n
+        for w in range(schema.k):
+            vocab, old = out.schema.vocabs[w], ds.cat[out.ids, w]
+            # new indices follow the surviving values' old indices
+            assert [schema.vocabs[w][v] for v in sorted(vocab, key=vocab.get)] == \
+                np.unique(old).tolist()
+            assert [out.schema.decode_value(w, i) for i in out.cat[:, w]] == \
+                [schema.decode_value(w, i) for i in old]
 
 
 class TestNormalize:
