@@ -295,6 +295,9 @@ def cmd_score(args) -> int:
     model, stats = load_model(args.model)
     dataset, scores, report = _load_for_model(model, stats, args.data)
     scored = ScoredRecords(dataset.ids, scores).sorted_ascending()
+    quantiles = None if dataset.n == 0 else {   # numpy's "lower" quantiles of the scores
+        name: float(scored.scores[int(q * (dataset.n - 1))])
+        for name, q in (("min", 0), ("p1", .01), ("p5", .05), ("p50", .5), ("max", 1))}
     out_path = Path(args.out)
     # the bytes csv.writer would write, in one write
     lines = map("{},{:.12g}\r\n".format, scored.ids.tolist(), scored.scores.tolist())
@@ -303,7 +306,7 @@ def cmd_score(args) -> int:
         with open(out_path, "w", newline="") as f:
             f.write("record_id,score\r\n" + "".join(lines))
         _write_json(out_path.with_suffix(out_path.suffix + ".report.json"),
-                    report.to_json())
+                    {**report.to_json(), "score_quantiles": quantiles})
     except OSError as err:
         raise ConfigError(f"cannot write scores to {out_path}: {err}") from None
     print(f"{len(scored.ids)} scores written to {out_path}")

@@ -11,9 +11,8 @@ import csv
 import hashlib
 import itertools
 import json
-import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -159,14 +158,7 @@ class LoadReport:
     first_nonfinite: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "rows_read": self.rows_read,
-            "rows_kept": self.rows_kept,
-            "rows_dropped_missing": self.rows_dropped_missing,
-            "rows_dropped_unseen": self.rows_dropped_unseen,
-            "rows_dropped_nonfinite": self.rows_dropped_nonfinite,
-            "arities": dict(self.arities),
-        }
+        return {k: v for k, v in asdict(self).items() if k != "first_nonfinite"}
 
 
 def read_schema_file(path) -> tuple[list[str], list[str]]:
@@ -189,7 +181,7 @@ def read_schema_file(path) -> tuple[list[str], list[str]]:
     return cats, conts
 
 
-# Rows read and converted at a time: the loader never holds more of the file
+# Lines read and converted at a time: the loader never holds more of the file
 # as Python strings than one block.
 LOAD_BLOCK_ROWS = 16384
 
@@ -218,11 +210,15 @@ def load_csv(path, schema: RecordSchema, label_field: str | None = None):
     it is never scored, and ``report.first_nonfinite`` names the first such
     cell, for a caller that turns non-finite input into an error.
 
-    The file is read ``LOAD_BLOCK_ROWS`` rows at a time and each block is
-    converted column by column. A row's fate is decided in this order: wrong
-    cell count (error), empty cell, unseen category, unparsable number
-    (error), non-finite value, unknown label (error). When a file has several
-    errors, the one of the first faulty row is raised.
+    The file is read ``LOAD_BLOCK_ROWS`` lines at a time and converted column
+    by column. A block of plain lines (no ``"``, NUL or ``\\r`` but a CRLF
+    ending, not blank, as many commas as the header, no longer than
+    ``csv.field_size_limit()``) is split at its commas; csv.reader reads the
+    rest of the file from the first block that is not, with the same rows,
+    counts and errors. A row's fate is decided in this order: wrong cell
+    count (error), empty cell, unseen category, unparsable number (error),
+    non-finite value, unknown label (error). When a file has several errors,
+    the one of the first faulty row is raised.
     """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -232,25 +228,34 @@ def load_csv(path, schema: RecordSchema, label_field: str | None = None):
         if not header:
             raise DataError(f"{path}: empty file")
         converter = _BlockConverter(path, schema, header[0], label_field)
-        while True:
-            rows, fault = _read_rows(reader, path, LOAD_BLOCK_ROWS)
-            converter.add(rows)
-            if fault is not None:
-                raise fault
-            if len(rows) < LOAD_BLOCK_ROWS:
-                break
+        converter.read(f, reader.line_num)
     return converter.finish()
 
 
-def _read_rows(reader, path, count: int):
-    """Up to ``count`` rows, plus the DataError to raise once they are
-    handled when the file is not valid UTF-8 or not parsable as CSV."""
+def _split_plain(lines: list, width: int):
+    """The ``width`` cell columns of ``lines``, split at their commas, or None
+    when a line is not plain, so csv.reader might read it otherwise."""
+    text = "".join(lines)
+    if ('"' in text or "\0" in text
+            or "\r" in text and text.count("\r") != text.count("\r\n")
+            or "\n" in lines or "\r\n" in lines
+            or list(map(str.count, lines, itertools.repeat(","))).count(width - 1) < len(lines)
+            or max(map(len, lines), default=0) > csv.field_size_limit()):
+        return None
+    cells = text.replace("\r", "").replace("\n", ",").split(",")    # every \r ends a CRLF
+    del cells[len(lines) * width:]    # the empty cell after the last newline
+    return [cells[j::width] for j in range(width)]
+
+
+def _read_rows(reader, path, count: int, lines_before: int = 0):
+    """Up to ``count`` rows, plus the DataError to raise once they are handled
+    when the file is not valid UTF-8 or CSV, lines counted from ``lines_before``."""
     rows: list = []
     try:
         # list.extend keeps the rows read before an exception
         rows.extend(itertools.islice(reader, count))
     except csv.Error as err:
-        return rows, DataError(f"{path}: line {reader.line_num}: {err}")
+        return rows, DataError(f"{path}: line {lines_before + reader.line_num}: {err}")
     except UnicodeDecodeError:
         return rows, DataError(f"{path}: line {_undecodable_line(path)} is not valid UTF-8")
     return rows, None
@@ -269,7 +274,7 @@ def _undecodable_line(path) -> int:
 
 
 class _BlockConverter:
-    """Turns blocks of CSV rows into the int64/float64 arrays of a Dataset."""
+    """Turns the rows of a CSV file into the int64/float64 arrays of a Dataset."""
 
     def __init__(self, path, schema: RecordSchema, header: list[str],
                  label_field: str | None):
@@ -293,24 +298,56 @@ class _BlockConverter:
         self.conts: list[Array] = []
         self.labels: list[Array] = []
 
-    def add(self, rows: list):
-        """Convert one block; raises the error of its first faulty row."""
+    def read(self, f, lines_read: int):
+        """Convert the rows of ``f`` after a header of ``lines_read`` lines."""
+        while True:
+            lines: list = []
+            try:
+                lines.extend(itertools.islice(f, LOAD_BLOCK_ROWS))
+                undecodable = None
+            except UnicodeDecodeError as err:   # csv.reader raises it after the lines
+                undecodable = err
+            columns = None if undecodable else _split_plain(lines, self.width)
+            if columns is None:
+                break
+            self.add(columns)
+            if len(lines) < LOAD_BLOCK_ROWS:
+                return
+            lines_read += len(lines)
+
+        def rest():
+            yield from lines
+            if undecodable is not None:
+                raise undecodable
+            yield from f
+
+        reader = csv.reader(rest())
+        while True:
+            rows, fault = _read_rows(reader, self.path, LOAD_BLOCK_ROWS, lines_read)
+            i = next((i for i, row in enumerate(rows) if len(row) != self.width), None)
+            if i is not None:
+                rows, fault = rows[:i], DataError(
+                    f"{self.path}: row {self.report.rows_read + 2 + i} has {len(rows[i])} "
+                    f"cells, expected {self.width}")
+            self.add(list(zip(*rows)) or [()] * self.width)
+            if fault is not None:
+                raise fault
+            if len(rows) < LOAD_BLOCK_ROWS:
+                return
+
+    def add(self, columns: list):
+        """Convert one block of cell columns; raises its first faulty row's error."""
         path, report = self.path, self.report
         first_row = report.rows_read + 2    # the header is row 1
-        n = len(rows)
-        lengths = np.fromiter(map(len, rows), np.int64, n)
-        short = np.flatnonzero(lengths != self.width)
-        if short.size:
-            i = int(short[0])
-            self.add(rows[:i])
-            raise DataError(f"{path}: row {first_row + i} has {lengths[i]} cells, "
-                            f"expected {self.width}")
-
-        cat_cells = [list(map(operator.itemgetter(c), rows)) for c in self.cat_cols]
-        cont_cells = [list(map(operator.itemgetter(c), rows)) for c in self.cont_cols]
+        n = len(columns[0])
+        cat_cells = [columns[c] for c in self.cat_cols]
+        cont_cells = [columns[c] for c in self.cont_cols]
         empty = np.zeros(n, dtype=bool)
         for cells in cat_cells + cont_cells:
-            empty |= np.fromiter(map(operator.not_, cells), bool, n)
+            i = -1
+            for _ in range(cells.count("")):
+                i = cells.index("", i + 1)
+                empty[i] = True
         keep = ~empty
 
         cat = np.empty((n, self.schema.k), dtype=np.int64)
@@ -336,7 +373,7 @@ class _BlockConverter:
             # the first kept cell, in row-major order, that float rejects
             i, j = next((i, j) for i in kept.tolist() for j, cells in enumerate(cont_cells)
                         if not _is_number(cells[i]))
-            self.add(rows[:i])
+            self.add([cells[:i] for cells in columns])
             raise DataError(f"{path}: row {first_row + i}, column "
                             f"{self.schema.cont_fields[j]!r}: cannot parse "
                             f"{cont_cells[j][i]!r} as a number") from None
@@ -351,7 +388,7 @@ class _BlockConverter:
         kept, cont = kept[~nonfinite], cont[~nonfinite]
 
         if self.label_col is not None:
-            cells = [rows[i][self.label_col] for i in kept.tolist()]
+            cells = [columns[self.label_col][i] for i in kept.tolist()]
             norm = map(str.lower, map(str.strip, cells))
             labels = np.fromiter(map(_LABELS.get, norm, itertools.repeat(-1)),
                                  np.int8, kept.size)

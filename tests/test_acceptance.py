@@ -5,7 +5,10 @@ budget, and prints a single PASS line with the measured values (visible
 with ``pytest -v -s`` or in failure output). The desk-scale detector run is
 shared between the detection gate and the anomaly-ratio harness gate.
 """
+import contextlib
 import hashlib
+import io
+import json
 import math
 import time
 
@@ -14,6 +17,7 @@ import pytest
 from scipy import stats as sps
 
 import chadkit as ck
+from chadkit.cli import main
 from chadkit.conceptbench import run_concept_bench
 from chadkit.estimator import SecondaryNoiseSpec
 from chadkit.negsampler import (NegSamplerConfig, category_probs,
@@ -21,6 +25,8 @@ from chadkit.negsampler import (NegSamplerConfig, category_probs,
 from chadkit.nn import grad_check
 from chadkit.synthdata import make_clustered_dataset, split_train_test
 from chadkit.trainer import TrainLog, TrainSchedule, train
+
+from conftest import write_csv
 
 
 def _report(name, detail):
@@ -402,3 +408,33 @@ def test_pinned_desk_scores(desk_models):
     assert digest == PINNED_DESK_SCORES_SHA256
     _report("pinned-desk-scores",
             f"desk seed-1 held-out scores sha256 {digest[:8]}... equals the pinned hash")
+
+
+# SHA-256 of the scores CSV that `chadkit score` writes for the desk seed-1
+# model on its raw held-out rows plus one empty-cell, one unseen-category and
+# one nan row: the whole CLI path, from CSV bytes to output bytes
+PINNED_CLI_SCORES_SHA256 = "b31e38a3042f5b8d52c0cdf651ecfb73c6657c755bf04c0a22f433126b607c8b"
+
+
+def test_pinned_cli_scores(desk_models, tmp_path):
+    model, _ = desk_models[1]
+    train_set, test_set = _desk_split(1)
+    ck.save_model(tmp_path / "desk1.chad", model, ck.fit_normalize(train_set))
+    data = tmp_path / "held_out.csv"
+    write_csv(data, test_set.schema, test_set.cat, test_set.cont)
+    first = data.read_text().splitlines()[1].split(",")
+    hostile = [["", *first[1:]], ["unseen", *first[1:]], [*first[:-1], "nan"]]
+    with open(data, "a") as f:
+        f.write("".join(",".join(row) + "\n" for row in hostile))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["score", "--model", str(tmp_path / "desk1.chad"), "--data", str(data),
+                     "--out", str(tmp_path / "scores.csv")])
+    assert code == 0
+    report = json.loads((tmp_path / "scores.csv.report.json").read_text())
+    assert (report["rows_read"], report["rows_kept"]) == (1003, 1000)
+    digest = hashlib.sha256((tmp_path / "scores.csv").read_bytes()).hexdigest()
+    if not _on_pinned_build():
+        pytest.skip(f"numpy/BLAS {_numpy_blas_build()} is not the pinned {PINNED_BUILD}")
+    assert digest == PINNED_CLI_SCORES_SHA256
+    _report("pinned-cli-scores",
+            f"desk seed-1 `chadkit score` CSV sha256 {digest[:8]}... equals the pinned hash")

@@ -4,11 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chadkit.cli import main
 from chadkit.data import NormalizationStats, RecordSchema
@@ -398,6 +401,95 @@ class TestScore:
                    "--data", str(tmp_path / "no.csv"),
                    "--out", str(tmp_path / "s.csv")])
         assert rc == 2
+
+    def test_lf_crlf_and_quote_all_files_score_alike(self, workspace, tmp_path):
+        # split at commas, split after CRLF endings, and read by csv.reader
+        rows = read_csv(workspace / "train.csv")
+        rows[3][2], rows[5][0] = "", "unseen"
+        written = set()
+        for name, form in (("lf", {"lineterminator": "\n"}),
+                           ("crlf", {"lineterminator": "\r\n"}),
+                           ("quote_all", {"lineterminator": "\n", "quoting": csv.QUOTE_ALL})):
+            data, out = tmp_path / f"{name}.csv", tmp_path / f"{name}_scores.csv"
+            with open(data, "w", newline="") as f:
+                csv.writer(f, **form).writerows(rows)
+            assert main(["score", "--model", str(workspace / "run/model.chad"),
+                         "--data", str(data), "--out", str(out)]) == 0
+            written.add((out.read_bytes(), out.with_suffix(".csv.report.json").read_bytes()))
+        assert len(written) == 1
+        report = json.loads(written.pop()[1])
+        assert (report["rows_dropped_missing"], report["rows_dropped_unseen"]) == (1, 1)
+
+    def test_report_gives_score_quantiles(self, workspace, tmp_path):
+        out = tmp_path / "scores.csv"
+        assert main(["score", "--model", str(workspace / "run/model.chad"),
+                     "--data", str(workspace / "train.csv"), "--out", str(out)]) == 0
+        scores = np.array([float(r[1]) for r in read_csv(out)[1:]])
+        quantiles = json.loads(out.with_suffix(".csv.report.json").read_text())["score_quantiles"]
+        assert list(quantiles) == ["max", "min", "p1", "p5", "p50"]
+        for name, q in (("min", 0), ("p1", 0.01), ("p5", 0.05), ("p50", 0.5), ("max", 1)):
+            # the CSV holds 12 significant digits, the report every bit
+            assert quantiles[name] == pytest.approx(np.quantile(scores, q, method="lower"),
+                                                    rel=1e-11)
+
+    def test_no_kept_row_gives_null_quantiles(self, workspace, tmp_path):
+        rows = read_csv(workspace / "train.csv")[:4]
+        for row in rows[1:]:
+            row[0] = "unseen"
+        data, out = tmp_path / "unseen.csv", tmp_path / "scores.csv"
+        with open(data, "w", newline="") as f:
+            csv.writer(f).writerows(rows)
+        assert main(["score", "--model", str(workspace / "run/model.chad"),
+                     "--data", str(data), "--out", str(out)]) == 0
+        report = json.loads(out.with_suffix(".csv.report.json").read_text())
+        assert report["rows_kept"] == 0 and report["score_quantiles"] is None
+        assert read_csv(out) == [["record_id", "score"]]
+
+
+@pytest.fixture(scope="module")
+def span_models(tmp_path_factory):
+    """Model files trained on two continuous columns spanning about 1, 1e-2
+    and 1e-300."""
+    root = tmp_path_factory.mktemp("spans")
+    write_schema_json(root / "schema.json", RecordSchema(["c"], ["x", "y"]))
+    u = np.random.default_rng(0).random((200, 2)).tolist()
+    models = []
+    for i, span in enumerate((1.0, 1e-2, 1e-300)):
+        (root / f"train{i}.csv").write_text("c,x,y\n" + "".join(
+            f"{'ab'[j % 2]},{span * a!r},{span * b!r}\n" for j, (a, b) in enumerate(u)))
+        config = {"schema": str(root / "schema.json"), "train_data": str(root / f"train{i}.csv"),
+                  "min_count": 1, "model": {"encoder_sizes": [4, 2]},
+                  "train": {"phase_epochs": [1, 1, 1], "batch_size": 64},
+                  "out_dir": str(root / f"run{i}")}
+        (root / f"cfg{i}.json").write_text(json.dumps(config))
+        assert main(["train", "--config", str(root / f"cfg{i}.json")]) == 0
+        models.append(root / f"run{i}" / "model.chad")
+    return models
+
+
+# continuous cells from the whole float64 range, its ends and zeros included
+FLOAT64_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1.7e308", "-1.7e308", repr(sys.float_info.max),
+                     repr(-sys.float_info.max), "5e-324", "-5e-324", "0.0", "-0.0", "0.5"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.integers(0, 2),
+       cells=st.lists(st.tuples(st.sampled_from("ab"), FLOAT64_CELLS, FLOAT64_CELLS),
+                      min_size=1, max_size=6))
+def test_any_float64_cells_score_finite(span_models, model, cells):
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = Path(tmp) / "score.csv", Path(tmp) / "scores.csv"
+        data.write_text("c,x,y\n" + "".join(",".join(row) + "\n" for row in cells))
+        rc = _quiet_main(["score", "--model", str(span_models[model]),
+                          "--data", str(data), "--out", str(out)])
+        assert rc in (0, 2)
+        if rc == 0:
+            rows = read_csv(out)[1:]
+            assert all(math.isfinite(float(score)) for _, score in rows)
+            report = json.loads(out.with_suffix(".csv.report.json").read_text())
+            assert len(rows) == report["rows_kept"]
 
 
 @pytest.mark.parametrize("command", ["score", "viz-latent"])

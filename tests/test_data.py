@@ -323,6 +323,175 @@ class TestBlockLoaderMatchesRowReader:
         with pytest.raises(DataError, match=message):
             load_csv(path, schema, label_field="label")
 
+
+def reference_or_csv_error(path, schema, label_field=None):
+    """reference_load_csv, which lets a csv.Error escape, made to end at the
+    csv module's first error and raise it as load_csv words it, once the rows
+    before it are checked."""
+    real, faults = csv.reader, []
+
+    def reader(f):
+        rows = real(f)
+
+        def until_error():
+            try:
+                yield from rows
+            except csv.Error as err:
+                faults.append(DataError(f"{path}: line {rows.line_num}: {err}"))
+        return until_error()
+
+    with mock.patch.object(csv, "reader", reader):
+        result = reference_load_csv(path, schema, label_field)
+    if faults:
+        raise faults[0]
+    return result
+
+
+# Cells of quote-free lines. None holds a comma or a quote, so a line's cell
+# count is its comma count plus one, and each is plain unless it holds a NUL,
+# ends in a lone CR, is blank or is longer than the csv field limit.
+PLAIN_CAT = st.sampled_from(["red", "green", "blue", "circle", "square", "red",
+                             "", "mauve", " red", "\x00", "r\x00d"])
+PLAIN_CONT = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                       st.integers(-5, 5).map(str),
+                       st.sampled_from(["", "nan", "-inf", " 1.5 ", "1e999", "abc", "\x00"]))
+PLAIN_NOTE = st.one_of(st.text(alphabet="ab x", max_size=3),
+                       st.integers(0, 40).map("x".__mul__))
+ENDINGS = st.sampled_from(["\n"] * 6 + ["\r\n"] * 3 + ["\r"])
+# a quoted note cell, which hands the rest of the file to csv.reader: plain
+# text, a quoted comma, a line break inside quotes (which can span blocks)
+QUOTED_NOTES = st.sampled_from(['"n"', '"a,b"', '"x\ny"', '"q""q"', '"x\r\ny'])
+PLAIN_ROWS = st.lists(st.tuples(st.lists(PLAIN_CAT, min_size=2, max_size=2),
+                                st.lists(PLAIN_CONT, min_size=2, max_size=2),
+                                LABEL_CELLS, PLAIN_NOTE, WIDTH_CHANGES, ENDINGS,
+                                st.sampled_from([False] * 8 + [True])),
+                      max_size=14)
+
+
+def _same_load(want, got, with_label):
+    """load_csv's result ``got`` equals the oracle's ``want``: the same
+    DataError text, or the same dataset and report."""
+    if isinstance(want, DataError):
+        assert isinstance(got, DataError) and str(got) == str(want)
+        return
+    assert not isinstance(got, Exception), got
+    (want_ds, want_report), (got_ds, got_report) = want, got
+    assert got_report.to_json() == want_report.to_json()
+    assert got_report.first_nonfinite == want_report.first_nonfinite
+    assert [list(v.items()) for v in got_ds.schema.vocabs] == \
+        [list(v.items()) for v in want_ds.schema.vocabs]
+    assert np.array_equal(got_ds.cat, want_ds.cat)
+    assert got_ds.cat.dtype == np.int64 and got_ds.cont.dtype == np.float64
+    assert np.array_equal(got_ds.cont, want_ds.cont, equal_nan=True)
+    assert np.array_equal(got_ds.ids, want_ds.ids)
+    assert (got_ds.labels is None) if not with_label else \
+        np.array_equal(got_ds.labels, want_ds.labels)
+
+
+class TestPlainLinesMatchRowReader:
+    """The split path for quote-free lines and its hand-over to csv.reader
+    give what the row-at-a-time oracle gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=PLAIN_ROWS, quote_at=st.none() | st.integers(0, 13), quoted=QUOTED_NOTES,
+           field_limit=st.sampled_from([None, None, 30, 45]), header_end=ENDINGS,
+           final_end=st.booleans(), fixed_vocabs=st.booleans(), with_label=st.booleans())
+    def test_same_dataset_report_or_error(self, rows, quote_at, quoted, field_limit,
+                                          header_end, final_end, fixed_vocabs, with_label):
+        vocabs = [{"red": 0, "green": 1, "blue": 2}, {"circle": 0, "square": 1}] \
+            if fixed_vocabs else None
+        schema = RecordSchema(["color", "shape"], ["size", "weight"], vocabs)
+        label_field = "label" if with_label else None
+        lines = ["shape,note,size,color,label,weight" + header_end]
+        for i, ((color, shape), (size, weight), label, note, width, end, blank) \
+                in enumerate(rows):
+            cells = [shape, quoted if i == quote_at else note, size, color, label, weight]
+            cells = cells[:len(cells) + width] if width < 0 else cells + ["extra"] * width
+            lines += [end] * blank + [",".join(cells) + end]
+        if not final_end:
+            lines[-1] = lines[-1].rstrip("\r\n")
+        old_limit = csv.field_size_limit()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes("".join(lines).encode())
+            try:
+                csv.field_size_limit(field_limit or old_limit)
+                try:
+                    want = reference_or_csv_error(path, schema, label_field)
+                except DataError as err:
+                    want = err
+                for block in (1, 2, 3, 4):
+                    try:
+                        with mock.patch.object(data, "LOAD_BLOCK_ROWS", block):
+                            got = load_csv(path, schema, label_field)
+                    except Exception as err:   # noqa: BLE001 - only ChadkitError may escape
+                        assert isinstance(err, ChadkitError), repr(err)
+                        got = err
+                    _same_load(want, got, with_label)
+            finally:
+                csv.field_size_limit(old_limit)
+
+    @pytest.mark.parametrize("text", ["x\n1\n2", "x\n1\n\n2\n", "x\r\n1\r\n\r\n", "x\n\n"])
+    def test_one_column_file_with_blank_lines(self, tmp_path, text):
+        # a blank line is a row of no cells to csv.reader, and has no comma
+        # to miscount in a one-column file
+        schema = RecordSchema([], ["x"])
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        try:
+            want = reference_load_csv(path, schema)
+        except DataError as err:
+            want = err
+        for block in (1, 2, 3, 4):
+            try:
+                with mock.patch.object(data, "LOAD_BLOCK_ROWS", block):
+                    got = load_csv(path, schema)
+            except DataError as err:
+                got = err
+            _same_load(want, got, with_label=False)
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_quote_free_file_reads_no_row_through_csv_reader(self, tmp_path, small_schema,
+                                                              quoted):
+        path = tmp_path / "t.csv"
+        row = '"red",circle,1,2,3,4' if quoted else "red,circle,1,2,3,4"
+        path.write_text("color,shape,size,weight,width,height\r\n"
+                        + "red,circle,1,2,3,4\r\n" * 7 + row + "\n")
+        readers, real = [], csv.reader
+
+        def reader(source):
+            readers.append(real(source))
+            return readers[-1]
+
+        with mock.patch.object(data, "LOAD_BLOCK_ROWS", 3), \
+                mock.patch.object(csv, "reader", reader):
+            ds, report = load_csv(path, small_schema)
+        assert ds.n == report.rows_read == 8
+        # the header's reader read one line; a hand-over makes one more reader
+        assert readers[0].line_num == 1
+        assert len(readers) == (2 if quoted else 1)
+
+    @pytest.mark.parametrize("quote", [False, True])
+    @pytest.mark.parametrize("block", [1, 7, 16384])
+    def test_undecodable_line_after_many_plain_ones(self, tmp_path, small_schema,
+                                                     quote, block):
+        # past the text decoder's first chunk, so the fault surfaces mid-file
+        rows = [b"red,circle,1,2,3,4"] * 900
+        if quote:
+            rows[300] = b'"red",circle,1,2,3,4'
+        rows[800] = b"r\xe9d,circle,1,2,3,4"
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\n".join([b"color,shape,size,weight,width,height", *rows]) + b"\n")
+        with mock.patch.object(data, "LOAD_BLOCK_ROWS", block), \
+                pytest.raises(DataError, match="line 802 is not valid UTF-8"):
+            load_csv(path, small_schema)
+        rows[350] = b"red,circle,1,2,3"
+        path.write_bytes(b"\n".join([b"color,shape,size,weight,width,height", *rows]) + b"\n")
+        with mock.patch.object(data, "LOAD_BLOCK_ROWS", block), \
+                pytest.raises(DataError, match="row 352 has 5 cells"):
+            load_csv(path, small_schema)
+
+
 class TestHostileBytes:
     HEADER = "color,shape,size,weight,width,height\n"
 
