@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Subcommands: train, score, eval, bench-concept, viz-latent, negsample-dump.
-Every run is driven by a JSON config checked against its subcommand's entry
-in CONFIG_TABLES (unknown, missing and mistyped keys are all reported), and
-every report embeds the resolved config, so a run can be reproduced from its
-outputs alone.
+Every run is driven by one config: the --config JSON, when the subcommand
+takes one, with each flag given set over the key of its name. It is checked
+once against the subcommand's entry in CONFIG_TABLES (unknown, missing and
+mistyped keys are all reported), and every report embeds it, so a run can be
+reproduced from its outputs alone.
 
 Inputs are validated once, where they enter: configs here, CSV cells and
 vocabularies in ``load_csv`` (a training CSV must hold finite numbers), model
@@ -55,9 +56,11 @@ MAX_PARAMETERS = 2**27
 # The config keys of each subcommand and the JSON value each key takes. A dict
 # is the table of a nested JSON object, a one-item list the table of every
 # object in a JSON list; a kind ending in "!" marks a required key. A "file"
-# is a path string naming an existing file.
+# is a path string naming an existing file. A flag sets the key of its name
+# (``_config``); `score` takes no --config, so its table holds only the keys
+# its flags set.
 _NEGATIVES = {"m": "int", "delta": "number"}
-_RUN = {"seed": "int", "out_dir": "str"}
+_RUN = {"seed": "int", "out_dir": "str!"}
 CONFIG_TABLES = {
     "train": {
         "schema": "file!", "train_data": "file!", "min_count": "int!",
@@ -76,8 +79,9 @@ CONFIG_TABLES = {
                     "n_per_cluster": "int", "n_per_blob": "int", "eps_factor": "number",
                     "box_expand": "number"},
         "seeds": "seeds", **_RUN},
-    "viz-latent": {"model": "file", "data": "file", "source": "str", "label_field": "str",
-                   "out_dir": "str"},
+    "score": {"model": "file!", "data": "file!", "out": "str!"},
+    "viz-latent": {"model": "file!", "data": "file!", "source": "source",
+                   "label_field": "str", "out_dir": "str!"},
     "negsample-dump": {"schema": "file!", "data": "file!", "rows": "int",
                        "negatives": _NEGATIVES, "min_count": "int", **_RUN},
 }
@@ -93,7 +97,7 @@ def _is_number(v) -> bool:
 
 _KINDS = {  # kind -> (what a value must be, its test)
     "file": ("a path string", lambda v: isinstance(v, str)),
-    "str": ("a string", lambda v: isinstance(v, str)),
+    "str": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "int": ("an integer", _is_int),
     "number": ("a finite number", _is_number),
@@ -102,6 +106,7 @@ _KINDS = {  # kind -> (what a value must be, its test)
                 lambda v: isinstance(v, list) and all(map(_is_number, v))),
     "seeds": ("a non-empty list of integers >= 0",
               lambda v: isinstance(v, list) and v and all(_is_int(s) and s >= 0 for s in v)),
+    "source": ("'latent' or 'estimator'", lambda v: v in ("latent", "estimator")),
 }
 
 
@@ -109,8 +114,9 @@ def _required(kind) -> bool:
     return isinstance(kind, str) and kind.endswith("!")
 
 
-def _problems(obj, table: dict, where: str) -> list[str]:
-    """Every unknown, missing, mistyped or missing-file key of ``obj``."""
+def _problems(obj, table: dict, where: str, flags: dict = {}) -> list[str]:
+    """Every unknown, missing, mistyped or missing-file key of ``obj``; a
+    missing key that ``flags`` maps to a flag names that flag."""
     if not isinstance(obj, dict):
         return [f"{where} must be a JSON object"]
     problems = [f"{where}: unknown key {key!r}" for key in obj if key not in table]
@@ -119,7 +125,8 @@ def _problems(obj, table: dict, where: str) -> list[str]:
         value = obj.get(key)
         if key not in obj:
             if _required(kind):
-                problems.append(f"{where}: missing required key {key!r}")
+                hint = f" (or pass --{flags[key]})" if key in flags else ""
+                problems.append(f"{where}: missing required key {key!r}{hint}")
         elif isinstance(kind, dict):
             problems += _problems(value, kind, name)
         elif isinstance(kind, list):
@@ -138,12 +145,13 @@ def _problems(obj, table: dict, where: str) -> list[str]:
 
 
 def _config(args) -> dict:
-    """The subcommand's config checked against its table. Where the table has
-    a seed, "seed" holds the run's seed (--seed, else the config's, else 0),
-    so the returned config reproduces the run."""
+    """The subcommand's config: the --config file's object with each flag
+    given set over the key of its name, checked once against the
+    subcommand's table. Where the table has a seed, "seed" holds the run's
+    seed (0 when neither sets it), so the returned config reproduces the run."""
     table = CONFIG_TABLES[args.command]
     config = {}
-    if args.config:
+    if getattr(args, "config", None):
         if not os.path.isfile(args.config):
             raise ConfigError(f"config file not found: {args.config}")
         try:
@@ -152,13 +160,18 @@ def _config(args) -> dict:
         except (ValueError, RecursionError) as err:   # not UTF-8, not JSON, too deep
             raise ConfigError(f"config file {args.config} is not UTF-8 JSON: {err}") \
                 from None
-    elif any(map(_required, table.values())):
-        raise ConfigError(f"{args.command} requires --config")
-    problems = _problems(config, table, "config")
+    # each flag of the subcommand but --config sets the key of its name, and
+    # --out sets out_dir, except score's, which names the scores CSV
+    flags = {("out_dir" if flag == "out" and args.command != "score" else flag): flag
+             for flag in ("seed", "model", "data", "out") if hasattr(args, flag)}
+    if isinstance(config, dict):
+        config.update({key: getattr(args, flag) for key, flag in flags.items()
+                       if getattr(args, flag) is not None})
+    problems = _problems(config, table, "config", flags)
     if problems:
         raise ConfigError(problems)
     if "seed" in table:
-        config["seed"] = args.seed if args.seed is not None else config.get("seed", 0)
+        config.setdefault("seed", 0)
         if config["seed"] < 0:
             raise ConfigError(f"seed must be >= 0, got {config['seed']}")
     return config
@@ -172,21 +185,16 @@ def _build(cls, obj: dict, where: str):
         raise ConfigError(f"{where}: {err}") from None
 
 
-def _out_dir(config: dict, args) -> Path:
-    """The output directory --out or out_dir names, not created yet: a command
-    creates it (``_make_dir``) once its inputs have passed their checks, so an
-    input error leaves no empty directory behind."""
-    out = args.out or config.get("out_dir")
-    if not out:
-        raise ConfigError("no output directory: set out_dir in the config or pass --out")
-    return Path(out)
-
-
-def _make_dir(path: Path):
+def _make_dir(path) -> Path:
+    """The output directory ``path``, created. A command makes it once its
+    inputs have passed their checks, so an input error leaves no empty
+    directory behind."""
+    path = Path(path)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as err:
         raise ConfigError(f"cannot create output directory {path}: {err}") from None
+    return path
 
 
 def _write_json(path, obj):
@@ -231,14 +239,13 @@ def cmd_train(args) -> int:
     schedule = _build(TrainSchedule, {**config.get("train", {}), "seed": seed}, "train")
     neg_config = _build(NegSamplerConfig, config.get("negatives", {}), "negatives")
     noise_spec = SecondaryNoiseSpec(config.get("secondary_noise", True))
-    out = _out_dir(config, args)
     dataset, stats, report = _load_training(config, "train_data")
     check_sampler_schema(dataset.schema)   # as train() does, but before out is made
     count = parameter_count(dataset.schema, model_config)
     if count > MAX_PARAMETERS:
         raise ConfigError(f"model: {count} parameters exceed the limit of {MAX_PARAMETERS}; "
                           f"reduce model.encoder_sizes, model.embed_cap or model.g_dim")
-    _make_dir(out)
+    out = _make_dir(config["out_dir"])
 
     model = ChadModel(dataset.schema, model_config, named_streams(seed)["init"])
     log = TrainLog()
@@ -287,18 +294,14 @@ def _load_for_model(model: ChadModel, stats, data_path, label_field=None):
 
 
 def cmd_score(args) -> int:
-    for path, what in ((args.model, "model"), (args.data, "data")):
-        if not path or not Path(path).is_file():
-            raise ConfigError(f"{what} file not found: {path}")
-    if not args.out:
-        raise ConfigError("score needs --out for the CSV path")
-    model, stats = load_model(args.model)
-    dataset, scores, report = _load_for_model(model, stats, args.data)
+    config = _config(args)
+    model, stats = load_model(config["model"])
+    dataset, scores, report = _load_for_model(model, stats, config["data"])
     scored = ScoredRecords(dataset.ids, scores).sorted_ascending()
     quantiles = None if dataset.n == 0 else {   # numpy's "lower" quantiles of the scores
         name: float(scored.scores[int(q * (dataset.n - 1))])
         for name, q in (("min", 0), ("p1", .01), ("p5", .05), ("p50", .5), ("max", 1))}
-    out_path = Path(args.out)
+    out_path = Path(config["out"])
     # the bytes csv.writer would write, in one write
     lines = map("{},{:.12g}\r\n".format, scored.ids.tolist(), scored.scores.tolist())
     try:
@@ -306,7 +309,7 @@ def cmd_score(args) -> int:
         with open(out_path, "w", newline="") as f:
             f.write("record_id,score\r\n" + "".join(lines))
         _write_json(out_path.with_suffix(out_path.suffix + ".report.json"),
-                    {**report.to_json(), "score_quantiles": quantiles})
+                    {**report.to_json(), "score_quantiles": quantiles, "config": config})
     except OSError as err:
         raise ConfigError(f"cannot write scores to {out_path}: {err}") from None
     print(f"{len(scored.ids)} scores written to {out_path}")
@@ -363,7 +366,6 @@ def cmd_eval(args) -> int:
     percentages = config.get("percentages", [])
     if not (0 < fraction <= 1 and all(0 < p < 100 for p in percentages)):
         raise ConfigError("anomaly_fraction must be in (0, 1] and percentages in (0, 100)")
-    out = _out_dir(config, args)
     seeds = config.get("seeds", [seed + i for i in range(5)])
 
     model, stats = load_model(config["model"])
@@ -376,7 +378,7 @@ def cmd_eval(args) -> int:
     except MetricError as err:
         raise MetricError(f"{err}; {config['test_data']}: "
                           f"{_rows_summary(load_report)}") from None
-    _make_dir(out)
+    out = _make_dir(config["out_dir"])
     report.update(config=config, load_report=load_report.to_json())
 
     if percentages:
@@ -409,8 +411,7 @@ def cmd_bench_concept(args) -> int:
             concept[key] = [_build(spec, item, f"concept.{key}[{i}]")
                             for i, item in enumerate(concept[key])]
     concept = _build(ConceptConfig, concept, "concept")
-    out = _out_dir(config, args)
-    _make_dir(out)
+    out = _make_dir(config["out_dir"])
     seeds = config.get("seeds", list(range(seed, seed + 10)))
 
     result = run_concept_bench(concept, seeds)
@@ -440,21 +441,9 @@ def cmd_bench_concept(args) -> int:
 
 def cmd_viz_latent(args) -> int:
     config = _config(args)
-    model_path = args.model or config.get("model")
-    data_path = args.data or config.get("data")
-    problems = [f"{what} file not found: {path}" if path else
-                f"no {what} path: set {what} in the config or pass --{what}"
-                for what, path in (("model", model_path), ("data", data_path))
-                if not (path and os.path.isfile(path))]
     source = config.get("source", "latent")
-    if source not in ("latent", "estimator"):
-        problems.append(f"source must be 'latent' or 'estimator', got {source!r}")
-    if problems:
-        raise ConfigError(problems)
-
-    out = _out_dir(config, args)
-    model, stats = load_model(model_path)
-    dataset, _, _ = _load_for_model(model, stats, data_path,
+    model, stats = load_model(config["model"])
+    dataset, _, _ = _load_for_model(model, stats, config["data"],
                                     label_field=config.get("label_field"))
     with np.errstate(over="ignore", invalid="ignore"):
         vectors = model.encode(dataset.cat, dataset.cont)
@@ -464,8 +453,8 @@ def cmd_viz_latent(args) -> int:
     # its products differently among the rows of another block
     keep = np.isfinite(vectors).all(axis=1)
     if keep.sum() < 2:
-        raise DataError(f"{data_path}: {keep.sum()} rows left to project, need 2")
-    _make_dir(out)
+        raise DataError(f"{config['data']}: {keep.sum()} rows left to project, need 2")
+    out = _make_dir(config["out_dir"])
     points, _ = latent_projection(vectors[keep])
     path = out / f"projection_{source}.csv"
     write_projection_csv(path, points, None if dataset.labels is None else dataset.labels[keep])
@@ -483,9 +472,8 @@ def cmd_negsample_dump(args) -> int:
     rows = config.get("rows", 3)
     if rows < 1:
         raise ConfigError(f"rows must be >= 1, got {rows}")
-    out = _out_dir(config, args)
     dataset, _, _ = _load_training(config, "data")
-    _make_dir(out)
+    out = _make_dir(config["out_dir"])
     head = dataset.subset(np.arange(min(rows, dataset.n)))
 
     rng = named_streams(config["seed"])["negsampler"]
@@ -519,12 +507,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     flags = {
         "config": {"help": "JSON config path"},
-        "seed": {"type": int, "help": "root random seed (overrides config)"},
+        "seed": {"type": int, "help": "root random seed (sets seed)"},
         "model": {"help": "model file path"},
         "data": {"help": "data CSV path"},
     }
 
-    def add(name, fn, help_text, names, out_help="output directory (overrides config)"):
+    def add(name, fn, help_text, names, out_help="output directory (sets out_dir)"):
         # a subcommand takes only the flags it reads, so an ignored one exits 2
         p = sub.add_parser(name, help=help_text)
         for flag in names.split():

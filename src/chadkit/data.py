@@ -262,13 +262,14 @@ def _read_rows(reader, path, count: int, lines_before: int = 0):
 
 
 def _undecodable_line(path) -> int:
-    """1-based number of the first line of ``path`` that is not valid UTF-8."""
+    """1-based number of the first line of ``path`` that is not valid UTF-8,
+    with lines ended by LF, CRLF or a lone CR, as csv.reader counts them."""
     line_no = 0
-    with open(path, "rb") as f:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as f:
         for line_no, line in enumerate(f, start=1):
             try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
+                line.encode("utf-8")
+            except UnicodeEncodeError:   # a byte decoded to a lone surrogate
                 break
     return line_no
 

@@ -353,12 +353,15 @@ class TestScore:
 
     @pytest.mark.parametrize("content, message", [
         (b"\xff\xfe", "line 1 is not valid UTF-8"),
+        (b"\r", "line 3 is not valid UTF-8"),
         (None, "line 3: field larger than field limit"),
     ])
     def test_hostile_csv_bytes_exit_2(self, workspace, tmp_path, capsys, content, message):
         data = tmp_path / "hostile.csv"
-        if content is None:
-            lines = (workspace / "train.csv").read_text().splitlines()
+        lines = (workspace / "train.csv").read_text().splitlines()
+        if content == b"\r":   # lone-CR line ends, a Latin-1 byte on line 3
+            content = "\r".join(lines[:2]).encode() + b"\r\xe9" + lines[2].encode() + b"\r"
+        elif content is None:
             huge = "x" * (csv.field_size_limit() + 1)
             content = "\n".join([*lines[:2], huge + lines[2]]).encode() + b"\n"
         data.write_bytes(content)
@@ -413,9 +416,12 @@ class TestScore:
             data, out = tmp_path / f"{name}.csv", tmp_path / f"{name}_scores.csv"
             with open(data, "w", newline="") as f:
                 csv.writer(f, **form).writerows(rows)
-            assert main(["score", "--model", str(workspace / "run/model.chad"),
-                         "--data", str(data), "--out", str(out)]) == 0
-            written.add((out.read_bytes(), out.with_suffix(".csv.report.json").read_bytes()))
+            model = str(workspace / "run/model.chad")
+            assert main(["score", "--model", model, "--data", str(data), "--out", str(out)]) == 0
+            # the report embeds the paths of its run; the rest is the same
+            report = json.loads(out.with_suffix(".csv.report.json").read_text())
+            assert report.pop("config") == {"model": model, "data": str(data), "out": str(out)}
+            written.add((out.read_bytes(), json.dumps(report, sort_keys=True)))
         assert len(written) == 1
         report = json.loads(written.pop()[1])
         assert (report["rows_dropped_missing"], report["rows_dropped_unseen"]) == (1, 1)
@@ -524,6 +530,52 @@ def test_cli_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
     assert out.stdout.strip() == "False"
+
+
+def _replay_cases(ws):
+    """subcommand -> (its --config object or None, its other flags, the report
+    that embeds its config, the outputs a replay must reproduce byte for byte)."""
+    model, data = str(ws / "run/model.chad"), str(ws / "train.csv")
+    train = json.loads((ws / "train_cfg.json").read_text())
+    del train["seed"], train["out_dir"]
+    seed = ["--seed", "7"]
+    return {
+        "train": (train, seed, "resolved_config.json", ["model.chad"]),
+        "eval": ({"model": model, "test_data": data, "seeds": [0, 1], "percentages": [5]},
+                 seed, "eval_report.json", ["vary_anomaly.csv"]),
+        "bench-concept": ({"concept": {"n_per_cluster": 40, "n_per_blob": 4}, "seeds": [0]},
+                          seed, "concept_summary.json",
+                          ["concept_bench.csv", "concept_data.csv"]),
+        "viz-latent": (None, ["--model", model, "--data", data], "projection_config.json",
+                       ["projection_latent.csv"]),
+        "negsample-dump": ({"schema": str(ws / "schema.json"), "data": data, "rows": 3},
+                           seed, "negsample_config.json", ["negatives.csv"]),
+    }
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "bench-concept", "viz-latent",
+                                     "negsample-dump"])
+def test_run_replays_from_the_config_its_report_embeds(workspace, tmp_path, command):
+    config, flags, report, outputs = _replay_cases(workspace)[command]
+    first, again = tmp_path / "first", tmp_path / "again"
+    argv = [command, *flags, "--out", str(first)]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 0
+    embedded = json.loads((first / report).read_text())
+    embedded = embedded.get("config", embedded)   # eval and bench-concept nest it
+    assert embedded["out_dir"] == str(first)
+    for flag, value in zip(flags[::2], flags[1::2]):
+        assert str(embedded[flag[2:]]) == value
+    (tmp_path / "replay.json").write_text(json.dumps(embedded))
+    assert main([command, "--config", str(tmp_path / "replay.json"),
+                 "--out", str(again)]) == 0
+    for name in outputs:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+    if command == "eval":
+        assert json.loads((again / report).read_text())["ap_per_seed"] == \
+            json.loads((first / report).read_text())["ap_per_seed"]
 
 
 class TestEval:

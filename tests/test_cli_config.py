@@ -17,6 +17,7 @@ from chadkit import cli
 from chadkit.cli import CONFIG_TABLES, main
 from chadkit.conceptbench import ConceptConfig, GammaClusterSpec, GaussianBlobSpec
 from chadkit.data import RecordSchema, fit_normalize, load_csv, read_schema_file
+from chadkit.errors import ConfigError
 from chadkit.model import ChadModel, ModelConfig
 from chadkit.negsampler import NegSamplerConfig
 from chadkit.persist import save_model
@@ -61,6 +62,8 @@ def ws(tmp_path_factory):
                         "n_per_cluster": 30, "n_per_blob": 4, "eps_factor": 1e-3,
                         "box_expand": 0.1},
             "seeds": [0], **run},
+        "score": {"model": files["model.chad"], "data": files["data.csv"],
+                  "out": str(root / "scores.csv")},
         "viz-latent": {"model": files["model.chad"], "data": files["data.csv"],
                        "source": "estimator", "label_field": "label",
                        "out_dir": run["out_dir"]},
@@ -83,7 +86,13 @@ def test_every_key_of_every_table_is_accepted(ws):
     root, configs = ws
     assert set(configs) == set(CONFIG_TABLES)
     for command, config in configs.items():
-        assert _run(root, command, config) == 0, command
+        if command == "score":   # no --config: its flags set all its keys
+            flags = [arg for key, value in config.items() for arg in (f"--{key}", value)]
+            assert main([command, *flags]) == 0
+            report = json.loads(Path(config["out"] + ".report.json").read_text())
+            assert report["config"] == config
+        else:
+            assert _run(root, command, config) == 0, command
 
 
 def test_nested_tables_match_the_dataclasses_they_build():
@@ -139,6 +148,7 @@ MALFORMED = [
     ("train", _set("train", -1, "seed"), "seed must be >= 0"),
     ("train", _set("train", True, "min_count"), "min_count must be an integer"),
     ("train", _set("train", "cfg.json", "out_dir"), "cannot create output directory"),
+    ("train", _set("train", "", "out_dir"), "out_dir must be a non-empty string"),
     # keys that changed nothing and were deleted
     ("train", _set("train", False, "clamp"), "config: unknown key 'clamp'"),
     ("train", _set("train", "label", "label_field"), "config: unknown key 'label_field'"),
@@ -150,6 +160,8 @@ MALFORMED = [
     ("negsample-dump", _set("negsample-dump", -5, "rows"), "rows must be >= 1, got -5"),
     ("bench-concept", _set("bench-concept", [1], "concept", "blobs", 0, "mean"),
      "concept.blobs[0]: a blob needs a two-value mean"),
+    ("viz-latent", _set("viz-latent", "pca", "source"),
+     "source must be 'latent' or 'estimator', got \"pca\""),
 ]
 
 
@@ -161,6 +173,49 @@ def test_malformed_config_exits_2_naming_key_or_file(ws, command, make, message,
     monkeypatch.chdir(root)
     assert _run(root, command, make(configs, root)) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config, problems", [
+    (["train"], None, ["config: missing required key 'schema'",
+                       "config: missing required key 'train_data'",
+                       "config: missing required key 'min_count'",
+                       "config: missing required key 'out_dir' (or pass --out)"]),
+    # eval takes no --model or --data flag to name
+    (["eval", "--out", "o"], None, ["config: missing required key 'model'",
+                                    "config: missing required key 'test_data'"]),
+    (["score"], None, ["config: missing required key 'model' (or pass --model)",
+                       "config: missing required key 'data' (or pass --data)",
+                       "config: missing required key 'out' (or pass --out)"]),
+    (["score", "--model", "no.chad", "--data", "no.csv", "--out", ""], None,
+     ["model file not found: no.chad", "data file not found: no.csv",
+      'out must be a non-empty string, got ""']),
+    (["viz-latent", "--data", "no.csv"], {"source": "pca", "out_dir": "v"},
+     ["config: missing required key 'model' (or pass --model)",
+      "data file not found: no.csv", "source must be 'latent' or 'estimator', got \"pca\""]),
+], ids=["train", "eval", "score", "score_paths", "viz-latent"])
+def test_every_problem_of_flags_and_config_is_reported_at_once(argv, config, problems,
+                                                                tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", "cfg.json"]
+    with pytest.raises(ConfigError) as exc:
+        cli._config(cli.build_parser().parse_args(argv))
+    assert exc.value.problems == problems
+
+
+def test_a_flag_sets_the_key_of_its_name(ws, tmp_path):
+    root, configs = ws
+    # the values the flags replace are never used, so they are not checked
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**configs["viz-latent"], "model": 5, "out_dir": ["x"]}))
+    args = cli.build_parser().parse_args(["viz-latent", "--config", str(path), "--model",
+                                          configs["train"]["schema"], "--out", "v"])
+    assert cli._config(args) == {**configs["viz-latent"], "model": configs["train"]["schema"],
+                                 "out_dir": "v"}
+    path.write_text(json.dumps({**configs["train"], "seed": "x"}))
+    args = cli.build_parser().parse_args(["train", "--config", str(path), "--seed", "4"])
+    assert cli._config(args) == {**configs["train"], "seed": 4}
 
 
 # Integers stay small: a huge layer width or count of negatives is a

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -343,3 +344,32 @@ class TestFuzzedModelFiles:
                 continue   # an earlier mutation replaced a parent of this path
         blob = json.dumps(header).encode()
         self._load(struct.pack("<Q", len(blob)) + blob + model_bytes[8 + header_len:])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_payload_word_mutations(self, model_bytes, data):
+        # the payload follows the header: one little-endian float64 per parameter
+        start = 8 + struct.unpack("<Q", model_bytes[:8])[0]
+        words = np.frombuffer(model_bytes[start:], dtype="<u8").copy()
+        special = st.sampled_from([math.nan, math.inf, -math.inf, -math.nan]) \
+            .map(lambda x: struct.unpack("<Q", struct.pack("<d", x))[0])
+        for i, bits in data.draw(st.lists(st.tuples(st.integers(0, words.size - 1),
+                                                    special | st.integers(0, 2**64 - 1)),
+                                          min_size=1, max_size=6)):
+            words[i] = bits
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzzed.chad"
+            path.write_bytes(model_bytes[:start] + words.tobytes())
+            try:
+                model, _ = load_model(path)
+            except DataError as err:
+                match = re.fullmatch(r".*: parameter (\S+) holds a non-finite value", str(err))
+                assert match, str(err)
+                # the parameter named holds one of the non-finite words
+                path.write_bytes(model_bytes)
+                model, _ = load_model(path)
+                model.flat[...] = words.view("<f8")
+                assert not np.isfinite(model.params()[match[1]]).all()
+                return
+        assert np.isfinite(model.flat).all()
+        assert np.array_equal(model.flat.view("<u8"), words)
