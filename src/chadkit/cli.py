@@ -303,7 +303,7 @@ def cmd_score(args) -> int:
         for name, q in (("min", 0), ("p1", .01), ("p5", .05), ("p50", .5), ("max", 1))}
     out_path = Path(config["out"])
     # the bytes csv.writer would write, in one write
-    lines = map("{},{:.12g}\r\n".format, scored.ids.tolist(), scored.scores.tolist())
+    lines = [f"{i},{s:.12g}\r\n" for i, s in zip(scored.ids.tolist(), scored.scores.tolist())]
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         with open(out_path, "w", newline="") as f:

@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import json
 import warnings
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -190,7 +191,7 @@ _LABELS = {"0": 0, "nominal": 0, "normal": 0, "1": 1, "anomaly": 1, "anomalous":
 
 def read_csv_header(path) -> list[str]:
     """The first row of a CSV file, or [] when the file is empty."""
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         rows, fault = _read_rows(csv.reader(f), path, 1)
     if fault is not None:
         raise fault
@@ -199,6 +200,9 @@ def read_csv_header(path) -> list[str]:
 
 def load_csv(path, schema: RecordSchema, label_field: str | None = None):
     """Read an RFC-4180 UTF-8 CSV into a Dataset.
+
+    A leading byte-order mark is dropped. A header that names a column twice
+    is an error naming it.
 
     When the schema has empty vocabularies they are built from the file
     (training mode); otherwise a row holding a value missing from the
@@ -220,7 +224,7 @@ def load_csv(path, schema: RecordSchema, label_field: str | None = None):
     non-finite value, unknown label (error). When a file has several errors,
     the one of the first faulty row is raised.
     """
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         header, fault = _read_rows(reader, path, 1)
         if fault is not None:
@@ -279,13 +283,16 @@ class _BlockConverter:
 
     def __init__(self, path, schema: RecordSchema, header: list[str],
                  label_field: str | None):
+        repeated = sorted(name for name, n in Counter(header).items() if n > 1)
+        if repeated:
+            raise DataError(f"{path}: header repeats columns {repeated}")
         wanted = set(schema.cat_fields) | set(schema.cont_fields)
         if label_field is not None:
             wanted.add(label_field)
         missing = wanted - set(header)
         if missing:
             raise DataError(f"{path}: missing columns {sorted(missing)}")
-        col = {name: header.index(name) for name in header}
+        col = {name: j for j, name in enumerate(header)}
         self.path = path
         self.schema = schema
         self.width = len(header)

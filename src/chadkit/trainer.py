@@ -13,6 +13,7 @@ import ctypes
 import json
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,6 +122,30 @@ def _keep_freed_heap():
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
+def _batches(phase: int, data: Dataset, schedule: TrainSchedule, streams, draw, pool):
+    """Yield each batch of a phase as (epoch, batch index, rows, gates, job).
+
+    ``job`` is the future of ``draw(rows)`` on ``pool`` for a batch whose
+    estimator gate is on, else None. Jobs are submitted in batch order, each
+    before the gated batch ahead of it is yielded, so the pool's one worker
+    draws one gated batch ahead of the model step.
+    """
+    held = []   # a gated batch and the ungated ones after it
+    for epoch in range(schedule.phase_epochs[phase - 1]):
+        epoch_seed = child_seed(streams["shuffle"])
+        for b_idx, idx in enumerate(batch_iter(data.n, schedule.batch_size, epoch_seed)):
+            gates = gates_for(phase, b_idx)
+            batch = (epoch, b_idx, idx, gates, pool.submit(draw, idx) if gates[1] else None)
+            if gates[1]:
+                yield from held
+                held = [batch]
+            elif held:
+                held.append(batch)
+            else:
+                yield batch
+    yield from held
+
+
 def _run_phase(phase: int, model: ChadModel, data: Dataset, schedule: TrainSchedule,
                neg_config: NegSamplerConfig | None, noise_spec: SecondaryNoiseSpec | None,
                log: TrainLog | None, streams) -> ChadModel:
@@ -132,24 +157,25 @@ def _run_phase(phase: int, model: ChadModel, data: Dataset, schedule: TrainSched
         log = TrainLog()
     opt_ae = Adam(*model.group("ae."), schedule.learning_rate) if phase < 3 else None
     opt_est = Adam(*model.group("est."), schedule.learning_rate) if phase > 1 else None
-    epochs = schedule.phase_epochs[phase - 1]
-    if phase == 3 and epochs:
+    if phase == 3 and schedule.phase_epochs[2]:
         # nothing feeding the latents trains, so fold the encoder and
         # encode every record once for the whole phase
         encoder = FoldedEncoder(model.autoencoder)
         latents = encoder.encode(data.cat, data.cont)
-    for epoch in range(epochs):
-        lam = schedule.lambda_for(phase, epoch)
-        gamma = schedule.gamma_for(phase, epoch)
-        epoch_seed = child_seed(streams["shuffle"])
-        for b_idx, idx in enumerate(batch_iter(data.n, schedule.batch_size, epoch_seed)):
-            gates = gates_for(phase, b_idx)
-            cat, cont = data.cat[idx], data.cont[idx]
-            neg_cat = neg_cont = noise = None
-            if gates[1]:
-                neg_cat, neg_cont = generate_negatives_batch(
-                    cat, cont, neg_config, data.schema, streams["negsampler"])
-                noise = noise_spec.draw(streams["noise"], neg_cat.shape[0], model.latent_dim)
+
+    def draw(idx):   # on the worker: the negsampler and noise streams, no BLAS
+        neg_cat, neg_cont = generate_negatives_batch(
+            data.cat[idx], data.cont[idx], neg_config, data.schema, streams["negsampler"])
+        return neg_cat, neg_cont, noise_spec.draw(streams["noise"], neg_cat.shape[0],
+                                                  model.latent_dim)
+
+    pool = ThreadPoolExecutor(max_workers=1)   # starts its thread at the first job
+    try:
+        for epoch, b_idx, idx, gates, job in _batches(phase, data, schedule, streams,
+                                                      draw, pool):
+            lam = schedule.lambda_for(phase, epoch)
+            gamma = schedule.gamma_for(phase, epoch)
+            neg_cat, neg_cont, noise = (None, None, None) if job is None else job.result()
             if phase == 3:
                 neg_latents = encoder.encode(neg_cat, neg_cont)
                 if noise is not None:
@@ -161,8 +187,8 @@ def _run_phase(phase: int, model: ChadModel, data: Dataset, schedule: TrainSched
                 l_r, l_est = None, total
             else:
                 total, l_r, l_est = model.loss_joint(
-                    cat, cont, neg_cat, neg_cont, noise, gates, lam, gamma,
-                    streams["dropout"])
+                    data.cat[idx], data.cont[idx], neg_cat, neg_cont, noise, gates, lam,
+                    gamma, streams["dropout"])
             if not np.isfinite(total):
                 raise TrainingDiverged(
                     f"non-finite loss {total} at phase {phase}, epoch {epoch}, "
@@ -174,6 +200,8 @@ def _run_phase(phase: int, model: ChadModel, data: Dataset, schedule: TrainSched
             log.add(phase=phase, epoch=epoch, batch=b_idx,
                     gates=list(gates), **{"lambda": lam}, gamma=gamma,
                     loss_recon=l_r, loss_est=l_est)
+    finally:   # every job is taken by now, unless an exception cut the phase short
+        pool.shutdown(cancel_futures=True)
     return model
 
 
@@ -212,6 +240,11 @@ def train(model: ChadModel, data: Dataset, schedule: TrainSchedule,
     freed temporaries are reused rather than returned to the kernel and
     faulted in again. Up to 64 MiB of freed heap then stays with the process;
     no arithmetic changes.
+
+    In phases 2 and 3 one worker thread draws each gated batch's negatives
+    and noise one gated batch ahead, from the ``negsampler`` and ``noise``
+    streams only and with no BLAS call; the bits are those of a serial loop.
+    No thread outlives the call, whether it returns or raises.
     """
     check_sampler_schema(data.schema)
     if log is None:

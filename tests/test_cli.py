@@ -254,6 +254,36 @@ class TestTrain:
             in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_header_column_exits_2_naming_it(self, workspace, tmp_path, capsys):
+        # a second num_0 column, which used to be ignored in favour of the first
+        rows = read_csv(workspace / "train.csv")
+        data = tmp_path / "repeated.csv"
+        with open(data, "w", newline="") as f:
+            csv.writer(f).writerows([rows[0] + ["num_0"], *(row + [row[0]] for row in rows[1:])])
+        config = json.loads((workspace / "train_cfg.json").read_text())
+        config.update(train_data=str(data), out_dir=str(tmp_path / "out"))
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert "header repeats columns ['num_0']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_byte_order_mark_trains_and_scores_like_the_plain_file(self, workspace, tmp_path):
+        data = tmp_path / "bom.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + (workspace / "train.csv").read_bytes())
+        config = json.loads((workspace / "train_cfg.json").read_text())
+        config.update(train_data=str(data), out_dir=str(tmp_path / "run"))
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 0
+        model = workspace / "run/model.chad"
+        assert (tmp_path / "run/model.chad").read_bytes() == model.read_bytes()
+        scores = []
+        for src in (data, workspace / "train.csv"):
+            out = tmp_path / f"{src.stem}_scores.csv"
+            assert main(["score", "--model", str(model), "--data", str(src),
+                         "--out", str(out)]) == 0
+            scores.append(out.read_bytes())
+        assert scores[0] == scores[1]
+
 
 class TestScore:
     def test_scores_sorted_ascending(self, workspace, tmp_path):

@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import types
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from chadkit import trainer
+from chadkit.autoencoder import FoldedEncoder
 from chadkit.data import apply_normalize, batch_iter, fit_normalize
 from chadkit.errors import ConfigError, TrainingDiverged
 from chadkit.estimator import SecondaryNoiseSpec
@@ -368,6 +370,115 @@ class TestDivergence:
         with pytest.raises(TrainingDiverged, match="phase 1"):
             run_phase1(model, toy_data,
                        TrainSchedule(phase_epochs=(1, 0, 0), **SCHED))
+
+
+def _serial_run_phase(phase, model, data, schedule, neg_config, noise_spec, log, streams):
+    """The phase loop drawing each batch's negatives and noise in line, on one thread."""
+    opt_ae = Adam(*model.group("ae."), schedule.learning_rate) if phase < 3 else None
+    opt_est = Adam(*model.group("est."), schedule.learning_rate) if phase > 1 else None
+    epochs = schedule.phase_epochs[phase - 1]
+    if phase == 3 and epochs:
+        encoder = FoldedEncoder(model.autoencoder)
+        latents = encoder.encode(data.cat, data.cont)
+    for epoch in range(epochs):
+        lam = schedule.lambda_for(phase, epoch)
+        gamma = schedule.gamma_for(phase, epoch)
+        epoch_seed = child_seed(streams["shuffle"])
+        for b_idx, idx in enumerate(batch_iter(data.n, schedule.batch_size, epoch_seed)):
+            gates = gates_for(phase, b_idx)
+            cat, cont = data.cat[idx], data.cont[idx]
+            neg_cat = neg_cont = noise = None
+            if gates[1]:
+                neg_cat, neg_cont = generate_negatives_batch(
+                    cat, cont, neg_config, data.schema, streams["negsampler"])
+                noise = noise_spec.draw(streams["noise"], neg_cat.shape[0], model.latent_dim)
+            if phase == 3:
+                neg_latents = encoder.encode(neg_cat, neg_cont)
+                if noise is not None:
+                    neg_latents += noise
+                total, _, _ = model.estimator.loss(
+                    latents[idx], neg_latents.reshape(len(idx), -1, model.latent_dim),
+                    gamma, streams["dropout"])
+                l_r, l_est = None, total
+            else:
+                total, l_r, l_est = model.loss_joint(
+                    cat, cont, neg_cat, neg_cont, noise, gates, lam, gamma,
+                    streams["dropout"])
+            if gates[0]:
+                opt_ae.step()
+            if gates[1]:
+                opt_est.step()
+            log.add(phase=phase, epoch=epoch, batch=b_idx,
+                    gates=list(gates), **{"lambda": lam}, gamma=gamma,
+                    loss_recon=l_r, loss_est=l_est)
+    return model
+
+
+class TestWorkerDraws:
+    """Each gated batch's negatives and noise are drawn on a worker thread."""
+
+    def _train(self, monkeypatch, data, noise_on, serial):
+        streams = []
+        monkeypatch.setattr(trainer, "named_streams",
+                            lambda seed: streams.append(named_streams(seed)) or streams[-1])
+        if serial:
+            monkeypatch.setattr(trainer, "_run_phase", _serial_run_phase)
+        model, log = build_model(data, seed=4), TrainLog()
+        # 200 rows in batches of 48: five batches, so phase 2's gated batches
+        # cross each epoch boundary
+        train(model, data, TrainSchedule(phase_epochs=(2, 3, 3), seed=11, learning_rate=2e-3,
+                                         batch_size=48),
+              NegSamplerConfig(m=3), SecondaryNoiseSpec(noise_on), log=log)
+        monkeypatch.undo()
+        return model, streams[0], log
+
+    @pytest.mark.parametrize("noise_on", [True, False])
+    def test_bits_and_streams_match_the_serial_loop(self, toy_data, monkeypatch, noise_on):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # the two threads trade the interpreter lock often
+        try:
+            model, streams, log = self._train(monkeypatch, toy_data, noise_on, serial=False)
+        finally:
+            sys.setswitchinterval(interval)
+        ref, ref_streams, ref_log = self._train(monkeypatch, toy_data, noise_on, serial=True)
+        assert model.flat.tobytes() == ref.flat.tobytes()
+        for name in ("shuffle", "negsampler", "noise", "dropout"):
+            assert streams[name].bit_generator.state == ref_streams[name].bit_generator.state
+        assert log.entries == ref_log.entries
+
+    def test_a_worker_exception_re_raises_and_joins_the_worker(self, toy_data, monkeypatch):
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("third gated batch")
+            return generate_negatives_batch(*args)
+
+        monkeypatch.setattr(trainer, "generate_negatives_batch", failing)
+        threads, log = threading.active_count(), TrainLog()
+        with pytest.raises(RuntimeError, match="third gated batch"):
+            train(build_model(toy_data), toy_data,
+                  TrainSchedule(phase_epochs=(1, 2, 1), **SCHED), NegSamplerConfig(m=2),
+                  log=log)
+        assert threading.active_count() == threads
+        # four batches an epoch, gated at 0 and 2: the third gated batch is
+        # epoch 1's first, and every batch before it trained
+        last = log.entries[-1]
+        assert (last["phase"], last["epoch"], last["batch"]) == (2, 0, 3)
+
+    def test_divergence_in_phase3_raises_and_joins_the_worker(self, toy_data, monkeypatch):
+        def diverge_in_phase3(phase, model):
+            if phase == 2:
+                monkeypatch.setattr(model.estimator, "loss",
+                                    lambda *args: (float("nan"), None, None))
+
+        threads = threading.active_count()
+        with pytest.raises(TrainingDiverged, match="phase 3, epoch 0, batch 0"):
+            train(build_model(toy_data), toy_data,
+                  TrainSchedule(phase_epochs=(1, 1, 2), **SCHED), NegSamplerConfig(m=2),
+                  checkpoint_fn=diverge_in_phase3)
+        assert threading.active_count() == threads
 
 
 class TestSamplerSchemaCheck:
