@@ -182,7 +182,8 @@ class FoldedEncoder:
         h = cont @ self.w_cont.T
         h += self.bias
         for w, table in enumerate(self.tables):
-            h += table[cat[:, w]]
+            # the rows table[cat[:, w]] gathers, without holding the GIL
+            h += np.take(table, cat[:, w], axis=0)
         np.tanh(h, out=h)
         for layer in self.rest:
             h, _ = layer.forward(h)

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (RecordSchema, apply_normalize, filter_rare_entities, fit_normalize,
-                   load_csv, read_csv_header, read_schema_file)
+                   load_csv, read_schema_file)
 from .errors import (ChadkitError, ConfigError, DataError, MetricError, SchemaError,
                      TrainingDiverged)
 from .estimator import SecondaryNoiseSpec
@@ -274,12 +274,9 @@ def _load_for_model(model: ChadModel, stats, data_path, label_field=None):
     normalized with the model's ranges and scored; a row whose normalized
     values or score are not all finite (a finite cell can overflow in either
     step) is dropped and counted as non-finite, and the kept rows are
-    numbered afresh, as load_csv numbers them."""
-    header = read_csv_header(data_path)
-    wanted = set(model.schema.cat_fields) | set(model.schema.cont_fields)
-    missing = wanted - set(header)
-    if missing:
-        raise SchemaError(f"{data_path} lacks model schema columns {sorted(missing)}")
+    numbered afresh, as load_csv numbers them. A file lacking one of the
+    model's columns raises load_csv's SchemaError, or its DataError for a
+    model that fixes no vocabulary."""
     dataset, report = load_csv(data_path, model.schema, label_field=label_field)
     with np.errstate(over="ignore", invalid="ignore"):
         dataset = apply_normalize(stats, dataset)

@@ -189,15 +189,6 @@ LOAD_BLOCK_ROWS = 16384
 _LABELS = {"0": 0, "nominal": 0, "normal": 0, "1": 1, "anomaly": 1, "anomalous": 1}
 
 
-def read_csv_header(path) -> list[str]:
-    """The first row of a CSV file, or [] when the file is empty."""
-    with open(path, newline="", encoding="utf-8-sig") as f:
-        rows, fault = _read_rows(csv.reader(f), path, 1)
-    if fault is not None:
-        raise fault
-    return rows[0] if rows else []
-
-
 def load_csv(path, schema: RecordSchema, label_field: str | None = None):
     """Read an RFC-4180 UTF-8 CSV into a Dataset.
 
@@ -206,7 +197,10 @@ def load_csv(path, schema: RecordSchema, label_field: str | None = None):
 
     When the schema has empty vocabularies they are built from the file
     (training mode); otherwise a row holding a value missing from the
-    vocabulary is dropped and counted as unseen.
+    vocabulary is dropped and counted as unseen. A schema field missing from
+    the header (an empty file lacks them all) raises SchemaError when a
+    vocabulary is fixed, as a trained model's are, and DataError when none
+    is; a missing label column raises DataError.
 
     Returns (dataset, report). Rows with empty cells are dropped and counted;
     a non-numeric continuous cell is an error naming the row and column. A
@@ -229,9 +223,8 @@ def load_csv(path, schema: RecordSchema, label_field: str | None = None):
         header, fault = _read_rows(reader, path, 1)
         if fault is not None:
             raise fault
-        if not header:
-            raise DataError(f"{path}: empty file")
-        converter = _BlockConverter(path, schema, header[0], label_field)
+        converter = _BlockConverter(path, schema, header[0] if header else None,
+                                    label_field)
         converter.read(f, reader.line_num)
     return converter.finish()
 
@@ -281,17 +274,22 @@ def _undecodable_line(path) -> int:
 class _BlockConverter:
     """Turns the rows of a CSV file into the int64/float64 arrays of a Dataset."""
 
-    def __init__(self, path, schema: RecordSchema, header: list[str],
+    def __init__(self, path, schema: RecordSchema, header: list[str] | None,
                  label_field: str | None):
+        """``header`` is the file's first row, None for an empty file."""
+        # a trained model fixes its vocabularies; a training schema's are empty,
+        # and so are a model's that holds no category, or no categorical field
+        fixed = any(schema.vocabs)
+        self.building = not fixed and schema.k > 0
+        missing = sorted(set(schema.cat_fields + schema.cont_fields) - set(header or ()))
+        if missing:
+            raise (SchemaError if fixed else DataError)(
+                f"{path}: empty file" if header is None else f"{path}: missing columns {missing}")
         repeated = sorted(name for name, n in Counter(header).items() if n > 1)
         if repeated:
             raise DataError(f"{path}: header repeats columns {repeated}")
-        wanted = set(schema.cat_fields) | set(schema.cont_fields)
-        if label_field is not None:
-            wanted.add(label_field)
-        missing = wanted - set(header)
-        if missing:
-            raise DataError(f"{path}: missing columns {sorted(missing)}")
+        if label_field is not None and label_field not in header:
+            raise DataError(f"{path}: missing label column {label_field!r}")
         col = {name: j for j, name in enumerate(header)}
         self.path = path
         self.schema = schema
@@ -299,7 +297,6 @@ class _BlockConverter:
         self.cat_cols = [col[name] for name in schema.cat_fields]
         self.cont_cols = [col[name] for name in schema.cont_fields]
         self.label_col = col[label_field] if label_field is not None else None
-        self.building = all(len(v) == 0 for v in schema.vocabs) and schema.k > 0
         self.vocabs = [dict(v) for v in schema.vocabs]
         self.report = LoadReport()
         self.cats: list[Array] = []

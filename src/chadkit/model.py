@@ -7,6 +7,9 @@ inference-mode encoder that scoring uses.
 """
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -22,9 +25,12 @@ from .nn import Array, pack
 # encoder width, whatever the input size. At the default width of 64 a block's
 # first-layer temporary is 256 KiB of float64, so the dozen elementwise passes
 # over it (bias, the field gathers and adds, tanh, the later layers) stay in a
-# core's L2 cache, where 4096-row blocks (2 MiB) spilled to L3. The desk and
-# wide benchmark models score bitwise alike at 128 to 4096 rows on the pinned
-# build, but a block small enough can switch BLAS kernels and move last bits.
+# core's L2 cache, where 4096-row blocks (2 MiB) spilled to L3. The blocks are
+# independent, so a call of two or more blocks scores them on the calling
+# thread and one helper thread, each block through the same code and shapes
+# whichever thread runs it. The desk and wide benchmark models score bitwise
+# alike at 128 to 4096 rows on the pinned build, but a block small enough can
+# switch BLAS kernels and move last bits.
 SCORE_CHUNK_ROWS = 512
 
 
@@ -65,6 +71,13 @@ class ModelConfig:
         if set(obj) != names:
             raise ValueError(f"model_config keys {sorted(obj)} are not {sorted(names)}")
         return cls(**obj)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def parameter_count(schema: RecordSchema, config: ModelConfig) -> int:
@@ -141,22 +154,42 @@ class ChadModel:
 
     def encode(self, cat: Array, cont: Array) -> Array:
         """Latent vectors in inference mode, through a freshly folded encoder.
-        Raw arrays are checked against the schema once per call."""
-        return np.concatenate(list(self._latent_chunks(cat, cont)))
-
-    def _latent_chunks(self, cat: Array, cont: Array):
-        """Latent vectors of consecutive SCORE_CHUNK_ROWS-row slices of a raw
-        batch, one array per slice (one empty array for an empty batch)."""
-        cat, cont = check_batch(self.schema, cat, cont)
-        encoder = FoldedEncoder(self.autoencoder)
-        for start in range(0, max(cat.shape[0], 1), SCORE_CHUNK_ROWS):
-            stop = start + SCORE_CHUNK_ROWS
-            yield encoder.encode(cat[start:stop], cont[start:stop])
+        Raw arrays are checked against the schema once per call. Blocks of
+        SCORE_CHUNK_ROWS rows are encoded on the calling thread and, when
+        there are two or more and the process may use two CPUs, one helper
+        thread; a block's bits do not depend on the thread that encodes it."""
+        return np.concatenate(self._by_block(cat, cont, lambda z: z))
 
     def score_records(self, cat: Array, cont: Array) -> Array:
-        """Likelihood score per record, dropout off; checked like ``encode``."""
-        return np.concatenate([self.estimator.score(z)
-                               for z in self._latent_chunks(cat, cont)])
+        """Likelihood score per record, dropout off; checked, blocked and
+        threaded like ``encode``, with the same bits as one block at a time."""
+        return np.concatenate(self._by_block(cat, cont, self.estimator.score))
+
+    def _by_block(self, cat: Array, cont: Array, then) -> list[Array]:
+        """``then(latents)`` of each consecutive SCORE_CHUNK_ROWS-row slice of a
+        raw batch, in row order (one empty slice for an empty batch).
+
+        With two or more slices and two usable CPUs, one helper thread takes
+        every other slice in the caller's numpy error state while the calling
+        thread takes the rest. An exception from either thread re-raises here,
+        the first slice's in row order, and no thread outlives the call."""
+        cat, cont = check_batch(self.schema, cat, cont)
+        encoder = FoldedEncoder(self.autoencoder)
+
+        def block(start):
+            stop = start + SCORE_CHUNK_ROWS
+            return then(encoder.encode(cat[start:stop], cont[start:stop]))
+
+        starts = range(0, max(cat.shape[0], 1), SCORE_CHUNK_ROWS)
+        shared = len(starts) > 1 and _usable_cpus() > 1
+        pool = ThreadPoolExecutor(max_workers=1)   # starts its thread at the first job
+        try:
+            jobs = {i: pool.submit(contextvars.copy_context().run, block, start)
+                    for i, start in enumerate(starts) if shared and i % 2}
+            return [jobs[i].result() if i in jobs else block(start)
+                    for i, start in enumerate(starts)]
+        finally:   # every job is taken by now, unless a block raised
+            pool.shutdown(cancel_futures=True)
 
     def check_schema(self, dataset: Dataset):
         """SchemaError unless ``dataset`` carries this model's schema: the same

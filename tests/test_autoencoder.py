@@ -1,4 +1,8 @@
 import math
+import os
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -277,6 +281,98 @@ class TestChunkedScoring:
         cat, cont = np.zeros((0, 1), dtype=np.int64), np.zeros((0, 2))
         assert model.encode(cat, cont).shape == (0, 4)
         assert model.score_records(cat, cont).shape == (0,)
+
+    @staticmethod
+    def _model_and_batch(arities, r, n):
+        from chadkit.model import ChadModel
+        rng = np.random.default_rng(5)
+        model = ChadModel(schema_with(arities, r), ModelConfig(encoder_sizes=(16, 8, 4)), rng)
+        cat = np.stack([rng.integers(0, a, n) for a in arities], axis=1) if arities \
+            else np.zeros((n, 0), dtype=np.int64)
+        return model, cat, rng.random((n, r))
+
+    @staticmethod
+    def _serial(model, cat, cont, then):
+        """The blocks one after another on this thread: the reference bits."""
+        from chadkit.model import SCORE_CHUNK_ROWS
+        encoder = FoldedEncoder(model.autoencoder)
+        return np.concatenate([
+            then(encoder.encode(cat[s:s + SCORE_CHUNK_ROWS], cont[s:s + SCORE_CHUNK_ROWS]))
+            for s in range(0, max(cat.shape[0], 1), SCORE_CHUNK_ROWS)])
+
+    @staticmethod
+    def _count_thread_starts(monkeypatch, cpus):
+        """Let the process see ``cpus`` CPUs; returns the list each thread start
+        appends to."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        starts, real = [], threading.Thread.start
+
+        def start(thread):
+            starts.append(thread.name)
+            real(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        return starts
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("arities, r", [
+        ((3, 7, 12), 5),
+        ((4, 30), 40),     # the continuous block goes through g.W
+        ((), 6),           # no categorical fields
+    ])
+    @pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 3 * 512 + 1])
+    def test_threaded_blocks_equal_serial_loop_bitwise(self, monkeypatch, arities, r, n,
+                                                       cpus):
+        from chadkit.model import SCORE_CHUNK_ROWS
+        model, cat, cont = self._model_and_batch(arities, r, n)
+        want_z = self._serial(model, cat, cont, lambda z: z)
+        want_f = self._serial(model, cat, cont, model.estimator.score)
+        starts = self._count_thread_starts(monkeypatch, cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # the two threads take turns as often as they can
+        try:
+            got_z = model.encode(cat, cont)
+            got_f = model.score_records(cat, cont)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got_z.shape == (n, 4) and got_f.shape == (n,)
+        assert got_z.tobytes() == want_z.tobytes()
+        assert got_f.tobytes() == want_f.tobytes()
+        # one helper per call, and only for a call of two or more blocks
+        assert len(starts) == (2 if cpus > 1 and n > SCORE_CHUNK_ROWS else 0)
+
+    def test_helper_runs_in_the_callers_numpy_error_state(self, monkeypatch):
+        # every block overflows; the caller's errstate silences the helper's too
+        model, cat, cont = self._model_and_batch((3,), 5, 2 * 512)
+        model.autoencoder.encoder.layers[0].W[...] *= 1e300
+        self._count_thread_starts(monkeypatch, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                scores = model.score_records(cat, cont * 1e300)
+        assert scores.shape == (2 * 512,)
+
+    def test_exception_in_a_block_reraises_and_leaves_no_thread(self, monkeypatch):
+        from chadkit.estimator import Estimator
+        model, cat, cont = self._model_and_batch((3, 7), 5, 3 * 512 + 1)
+        self._count_thread_starts(monkeypatch, 2)
+        calls, lock, real = [], threading.Lock(), Estimator.score
+
+        def score(estimator, z):
+            with lock:
+                calls.append(len(z))
+                second = len(calls) == 2
+            if second:
+                raise FloatingPointError("second block")
+            return real(estimator, z)
+
+        monkeypatch.setattr(Estimator, "score", score)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="second block"):
+            model.score_records(cat, cont)
+        assert threading.active_count() == before
+        assert len(calls) >= 2
 
 
 @pytest.mark.parametrize("arities, r, sizes", [

@@ -1,4 +1,7 @@
+import builtins
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -10,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from chadkit.cli import main
@@ -528,6 +531,62 @@ def test_any_float64_cells_score_finite(span_models, model, cells):
             assert len(rows) == report["rows_kept"]
 
 
+# the training schema of the test below: a categorical field and four
+# continuous ones, so the negative sampler has something to perturb even when
+# the categorical column is constant
+TRAIN_FIELDS = {"c": "categorical", "x0": "continuous", "x1": "continuous",
+                "x2": "continuous", "x3": "continuous"}
+
+
+@st.composite
+def training_csvs(draw) -> str:
+    """A training CSV over TRAIN_FIELDS with hostile headers and columns: a
+    byte-order mark, extra columns with empty or repeated names, and columns
+    that are constant, subnormal-span, near-overflow or any float64, down to
+    a single row."""
+    n = draw(st.integers(1, 6))
+    cells = {"c": draw(st.lists(st.sampled_from("ab"), min_size=n, max_size=n))}
+    for name in list(TRAIN_FIELDS)[1:]:
+        column = st.lists(st.one_of(
+            st.sampled_from(["0.0", "5e-324", "-5e-324", "1e-323"]),          # subnormal span
+            st.sampled_from(["1.7e308", "-1.7e308", "1.6e308", repr(sys.float_info.max)]),
+            FLOAT64_CELLS), min_size=n, max_size=n)
+        constant = FLOAT64_CELLS.map(lambda v: [v] * n)
+        cells[name] = draw(st.one_of(constant, column))
+    extras = draw(st.lists(st.sampled_from(["", "c", "x1", "note"]), max_size=2))
+    header = draw(st.permutations([*TRAIN_FIELDS, *extras]))
+    rows = [",".join(cells[name][i] if name in cells else "z" for name in header)
+            for i in range(n)]
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + "\n".join([",".join(header), *rows]) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=training_csvs())
+def test_any_training_csv_trains_finite_or_exits_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "schema.json").write_text(json.dumps(TRAIN_FIELDS))
+        (root / "train.csv").write_text(text, encoding="utf-8")
+        config = {"schema": str(root / "schema.json"), "train_data": str(root / "train.csv"),
+                  "min_count": 1, "model": {"encoder_sizes": [4, 2]},
+                  "train": {"phase_epochs": [1, 1, 1], "batch_size": 4},
+                  "out_dir": str(root / "run")}
+        (root / "cfg.json").write_text(json.dumps(config))
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "continuous field .* is constant")
+            rc = main(["train", "--config", str(root / "cfg.json")])
+        event(f"exit {rc}")
+        assert rc in (0, 2, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if rc == 0:
+            model, stats = load_model(root / "run" / "model.chad")
+            assert np.isfinite(model.flat).all()
+            assert np.isfinite(stats.mins).all() and np.isfinite(stats.maxs).all()
+
+
 @pytest.mark.parametrize("command", ["score", "viz-latent"])
 def test_model_with_empty_vocabulary_exits_3(tmp_path, capsys, command):
     # with every vocabulary empty, load_csv builds one from the file, and the
@@ -540,6 +599,77 @@ def test_model_with_empty_vocabulary_exits_3(tmp_path, capsys, command):
                  "--data", str(tmp_path / "data.csv"), "--out", str(tmp_path / "out")]) == 3
     assert "schema mismatch" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _argv_on_data(ws, tmp_path, command, data) -> list[str]:
+    """argv running ``command`` on the CSV ``data``: ``train`` with the
+    workspace's config, the others with its model."""
+    model, out = str(ws / "run/model.chad"), str(tmp_path / "out")
+    if command == "train":
+        config = json.loads((ws / "train_cfg.json").read_text())
+        config.update(train_data=str(data), out_dir=out)
+    elif command == "eval":
+        config = {"model": model, "test_data": str(data), "out_dir": out}
+    else:
+        return [command, "--model", model, "--data", str(data), "--out", out]
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    return [command, "--config", str(tmp_path / "cfg.json")]
+
+
+@pytest.mark.parametrize("command, code", [("train", 2), ("score", 3), ("eval", 3),
+                                           ("viz-latent", 3)])
+@pytest.mark.parametrize("empty", [False, True], ids=["missing-column", "empty-file"])
+def test_data_lacking_schema_columns_exits(workspace, tmp_path, capsys, command, code,
+                                           empty):
+    # a training schema fixes no vocabulary (exit 2), a trained model's does (exit 3)
+    lines = (workspace / "train.csv").read_text().splitlines()
+    first = lines[0].split(",")[0]
+    data = tmp_path / "data.csv"
+    data.write_text("" if empty else
+                    "".join(line.split(",", 1)[1] + "\n" for line in lines[:20]))
+    assert main(_argv_on_data(workspace, tmp_path, command, data)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("schema mismatch: " if code == 3 else "error: ")
+    assert ("empty file" if empty else f"missing columns ['{first}']") in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_label_column_exits_2(workspace, tmp_path, capsys):
+    config = {"model": str(workspace / "run/model.chad"), "data": str(workspace / "train.csv"),
+              "label_field": "label", "out_dir": str(tmp_path / "out")}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert main(["viz-latent", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert "missing label column 'label'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["score", "viz-latent"])
+@pytest.mark.parametrize("cat_fields", [["c"], []], ids=["empty-vocabulary", "continuous-only"])
+def test_model_fixing_no_vocabulary_on_data_lacking_a_column_exits_2(tmp_path, capsys,
+                                                                     command, cat_fields):
+    # such a model's schema looks like a training schema to load_csv: before
+    # the header was read once, these exited 3
+    schema = RecordSchema(cat_fields, ["x", "y"])
+    model = ChadModel(schema, ModelConfig(encoder_sizes=(4, 2)), np.random.default_rng(0))
+    save_model(tmp_path / "model.chad", model, NormalizationStats(np.zeros(2), np.ones(2)))
+    (tmp_path / "data.csv").write_text("c,x\na,0.5\nb,0.2\n")
+    assert main([command, "--model", str(tmp_path / "model.chad"),
+                 "--data", str(tmp_path / "data.csv"), "--out", str(tmp_path / "out")]) == 2
+    assert "missing columns ['y']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_score_opens_the_data_file_once(workspace, tmp_path, monkeypatch):
+    data, opened, real = workspace / "train.csv", [], builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(data):
+            opened.append(file)
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(["score", "--model", str(workspace / "run/model.chad"), "--data", str(data),
+                 "--out", str(tmp_path / "scores.csv")]) == 0
+    assert len(opened) == 1
 
 
 @pytest.mark.parametrize("command, flag", [
