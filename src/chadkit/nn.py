@@ -9,11 +9,16 @@ The gradient contract: each parameter has a gradient array beside it
 laid out alike, ``flat`` and ``grad``. Backward passes *add* into ``grad``.
 A loss entry point first zeroes the gradients it writes, so one call leaves
 exactly that loss's gradient, and ``Adam.step()`` reads its slice of it.
+
+The sigmoid is written out in numpy, ``1 / (1 + exp(-a))``, because
+``scipy.special.expit`` would make every chadkit process import
+``scipy.special`` and the modules it pulls in: they take longer to import
+than numpy and the rest of chadkit together, and make each process's
+resident memory more than half as large again.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import TrainingDiverged
 
@@ -55,13 +60,23 @@ class DenseLayer:
     def forward(self, x: Array):
         """Activations of a 2-D float64 batch ``x`` of width ``in_dim``, and
         the cache for ``backward``. The width is not checked here: a
-        ``DenseStack`` chains layers whose widths match by construction."""
+        ``DenseStack`` chains layers whose widths match by construction.
+
+        The sigmoid is ``expit``'s formula written out in place, so that
+        chadkit needs no scipy (see the module docstring). Its bits equal
+        ``expit``'s wherever numpy's float64 ``exp`` is libm's. ``exp``
+        overflows to inf for ``a`` below about -709.78, where the result is
+        exactly 0, as ``expit`` gives, so that overflow is not an error."""
         a = x @ self.W.T
         a += self.b
         if self.activation == "tanh":
             np.tanh(a, out=a)
         else:
-            expit(a, out=a)
+            np.negative(a, out=a)
+            with np.errstate(over="ignore"):
+                np.exp(a, out=a)
+            a += 1.0
+            np.divide(1.0, a, out=a)
         # the activation output is enough to form d(act)/dz for both
         return a, (x, a)
 

@@ -26,7 +26,7 @@ from chadkit.nn import grad_check
 from chadkit.synthdata import make_clustered_dataset, split_train_test
 from chadkit.trainer import TrainLog, TrainSchedule, train
 
-from conftest import write_csv
+from conftest import pinned_hash, report_pin, write_csv
 
 
 def _report(name, detail):
@@ -345,30 +345,6 @@ def test_criterion_8_vary_anomaly_harness(desk_models):
 
 # ---- reproducibility: the pinned model file ------------------------------------
 
-# SHA-256 of the desk seed-1 model file, and the numpy and BLAS build it was
-# recorded with: another numpy or BLAS may round differently and still be
-# reproducible on its own.
-PINNED_DESK_SHA256 = "7827a3279eada28449be6fbb89f4c737331fb35555dc82106e0c32b4a70b9f40"
-PINNED_BUILD = ("2.4.6", "scipy-openblas", "0.3.31")
-# SHA-256 of the little-endian float64 scores of that model's 1000 held-out rows
-PINNED_DESK_SCORES_SHA256 = "33f44292454d8f40085819797e7229becf501af5c0b743120583736c672180fe"
-
-
-def _numpy_blas_build():
-    """(numpy version, BLAS name, BLAS version), or None when numpy cannot say."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):   # numpy < 1.26 has no mode="dicts"
-        return None
-    return np.__version__, blas.get("name"), str(blas.get("version", ""))
-
-
-def _on_pinned_build() -> bool:
-    build = _numpy_blas_build()
-    return build is not None and build[:2] == PINNED_BUILD[:2] \
-        and build[2].startswith(PINNED_BUILD[2])
-
-
 def test_pinned_model_hash(desk_models, tmp_path):
     ds = make_clustered_dataset(300, arities=(5, 7), n_cont=6, n_clusters=3, seed=9)
     ds = ck.apply_normalize(ck.fit_normalize(ds), ds)
@@ -385,15 +361,11 @@ def test_pinned_model_hash(desk_models, tmp_path):
     model, _ = desk_models[1]
     ck.save_model(tmp_path / "desk1.chad", model, ck.fit_normalize(_desk_split(1)[0]))
     digest = hashlib.sha256((tmp_path / "desk1.chad").read_bytes()).hexdigest()
-    build = _numpy_blas_build()
-    pinned = _on_pinned_build()
-    if pinned:
-        assert digest == PINNED_DESK_SHA256
-    _report("pinned-model-hash",
-            f"two same-seed trainings wrote identical bytes; desk seed-1 sha256 "
-            f"{digest[:8]}... " + ("equals the pinned hash" if pinned else
-                                  f"not compared: numpy/BLAS {build} is not the "
-                                  f"pinned {PINNED_BUILD}, byte equality only"))
+    pin, key = pinned_hash("desk_model")
+    if pin:
+        assert digest == pin
+    report_pin("pinned-model-hash", "two same-seed trainings wrote identical bytes; "
+               "desk seed-1", digest, pin, key)
 
 
 def test_pinned_desk_scores(desk_models):
@@ -403,19 +375,16 @@ def test_pinned_desk_scores(desk_models):
     scores = model.score_records(test_n.cat, test_n.cont)
     assert scores.shape == (1000,) and np.all(np.isfinite(scores))
     digest = hashlib.sha256(scores.astype("<f8").tobytes()).hexdigest()
-    if not _on_pinned_build():
-        pytest.skip(f"numpy/BLAS {_numpy_blas_build()} is not the pinned {PINNED_BUILD}")
-    assert digest == PINNED_DESK_SCORES_SHA256
-    _report("pinned-desk-scores",
-            f"desk seed-1 held-out scores sha256 {digest[:8]}... equals the pinned hash")
+    assert model.score_records(test_n.cat, test_n.cont).tobytes() == scores.tobytes()
+    pin, key = pinned_hash("desk_scores")
+    if pin:
+        assert digest == pin
+    report_pin("pinned-desk-scores", "desk seed-1 held-out scores", digest, pin, key)
 
 
-# SHA-256 of the scores CSV that `chadkit score` writes for the desk seed-1
-# model on its raw held-out rows plus one empty-cell, one unseen-category and
-# one nan row: the whole CLI path, from CSV bytes to output bytes
-PINNED_CLI_SCORES_SHA256 = "b31e38a3042f5b8d52c0cdf651ecfb73c6657c755bf04c0a22f433126b607c8b"
-
-
+# the CLI pin scores the desk seed-1 model's raw held-out rows plus one
+# empty-cell, one unseen-category and one nan row: the whole CLI path, from
+# CSV bytes to output bytes
 def test_pinned_cli_scores(desk_models, tmp_path):
     model, _ = desk_models[1]
     train_set, test_set = _desk_split(1)
@@ -426,15 +395,19 @@ def test_pinned_cli_scores(desk_models, tmp_path):
     hostile = [["", *first[1:]], ["unseen", *first[1:]], [*first[:-1], "nan"]]
     with open(data, "a") as f:
         f.write("".join(",".join(row) + "\n" for row in hostile))
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(["score", "--model", str(tmp_path / "desk1.chad"), "--data", str(data),
-                     "--out", str(tmp_path / "scores.csv")])
-    assert code == 0
-    report = json.loads((tmp_path / "scores.csv.report.json").read_text())
-    assert (report["rows_read"], report["rows_kept"]) == (1003, 1000)
-    digest = hashlib.sha256((tmp_path / "scores.csv").read_bytes()).hexdigest()
-    if not _on_pinned_build():
-        pytest.skip(f"numpy/BLAS {_numpy_blas_build()} is not the pinned {PINNED_BUILD}")
-    assert digest == PINNED_CLI_SCORES_SHA256
-    _report("pinned-cli-scores",
-            f"desk seed-1 `chadkit score` CSV sha256 {digest[:8]}... equals the pinned hash")
+    outputs = []
+    for run in range(2):
+        out = tmp_path / f"scores{run}.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["score", "--model", str(tmp_path / "desk1.chad"), "--data", str(data),
+                         "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.with_suffix(".csv.report.json").read_text())
+        assert (report["rows_read"], report["rows_kept"]) == (1003, 1000)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    digest = hashlib.sha256(outputs[0]).hexdigest()
+    pin, key = pinned_hash("cli_scores")
+    if pin:
+        assert digest == pin
+    report_pin("pinned-cli-scores", "desk seed-1 `chadkit score` CSV", digest, pin, key)

@@ -685,11 +685,13 @@ def test_flag_the_subcommand_ignores_exits_2(command, flag, capsys):
 
 
 def test_cli_import_leaves_out_scipy_stats():
+    # no scipy module at all: only `bench-concept` imports scipy, when it runs
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, chadkit.cli; print('scipy.stats' in sys.modules)"
+    scipy = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+    code = f"import sys, chadkit; print({scipy}); import chadkit.cli; print({scipy})"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["[]", "[]"]
 
 
 def _replay_cases(ws):

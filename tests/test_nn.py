@@ -1,11 +1,26 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from chadkit.errors import TrainingDiverged
 from chadkit.nn import (ADAM_EPS, Adam, DenseLayer, DenseStack, dropout_mask, glorot_uniform,
                         grad_check, mse_loss, mse_loss_backward, pack)
+
+from conftest import exp_is_libm
+
+
+def _sigmoid(a):
+    """The sigmoid layer's output for pre-activations ``a``, with any outer
+    numpy error state and Python warnings made errors."""
+    layer = DenseLayer(1, 1, "sigmoid", np.random.default_rng(0))
+    layer.W, layer.b = np.ones((1, 1)), np.zeros(1)
+    with warnings.catch_warnings(), np.errstate(over="raise"):
+        warnings.simplefilter("error")
+        out, _ = layer.forward(np.asarray(a, dtype=float)[:, None])
+    return out[:, 0]
 
 
 class TestDenseLayer:
@@ -15,6 +30,26 @@ class TestDenseLayer:
         layer.b = np.zeros(4)
         out, _ = layer.forward(np.array([[0.3, -2.0, 5.0]]))
         assert np.allclose(out, 0.5)
+
+    def test_sigmoid_at_its_limits(self):
+        a = [-1000, -745.2, -709.79, -709.78, 0, 36.8, 40, 1000, np.inf, -np.inf, np.nan]
+        out = _sigmoid(a)
+        # exp(709.79) overflows, and expit gives exactly 0 from there down
+        assert out[:3].tolist() == [0.0, 0.0, 0.0] and out[-2] == 0.0
+        assert out[3] == pytest.approx(5.5778e-309, rel=1e-4)
+        assert out[4:9].tolist() == [0.5, 1.0, 1.0, 1.0, 1.0]
+        assert np.isnan(out[-1])
+
+    def test_sigmoid_matches_expit(self):
+        # the same formula as scipy's expit, which uses libm's exp: equal bits
+        # where numpy's exp is libm's, a few ulp apart where it is numpy's own
+        a = np.concatenate([[-1000, -745.2, -709.79, -709.78, 0, 36.8, 40, 1000,
+                             np.inf, -np.inf],
+                            np.random.default_rng(5).normal(scale=20, size=100_000)])
+        out, ref = _sigmoid(a), expit(a)
+        ulps = np.abs(out.view(np.int64) - ref.view(np.int64))
+        assert ulps.max() <= (0 if exp_is_libm() else 4)
+        assert np.isnan(_sigmoid([np.nan])[0]) and np.isnan(expit(np.nan))
 
     def test_tanh_matches_scalar_oracle(self):
         layer = DenseLayer(1, 1, "tanh", np.random.default_rng(0))

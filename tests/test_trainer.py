@@ -26,7 +26,7 @@ from chadkit.synthdata import make_clustered_dataset
 from chadkit.trainer import (TrainLog, TrainSchedule, gates_for, run_phase1,
                              run_phase2, run_phase3, train)
 
-from test_acceptance import PINNED_BUILD, _numpy_blas_build
+from conftest import pinned_hash, report_pin
 
 
 @pytest.fixture(scope="module")
@@ -567,24 +567,24 @@ class TestHeapThresholds:
         assert {e["phase"] for e in log.entries} == {1, 2, 3}
 
 
-# SHA-256 of a short training whose 300-value embedding and 38 continuous
-# fields (mapped through g.W) take code paths the desk-scale pin never runs.
-# It is compared only on the numpy and BLAS build the desk pin names.
-PINNED_WIDE_SHA256 = "9ea17c68fcab858b3e1b1bc4ce39aa58e5bd9a091ac119090aeade1607acf7fc"
-
-
+# a short training whose 300-value embedding and 38 continuous fields (mapped
+# through g.W) take code paths the desk-scale pin never runs
 def test_pinned_wide_model_hash(tmp_path):
-    build = _numpy_blas_build()
-    if not (build is not None and build[:2] == PINNED_BUILD[:2]
-            and build[2].startswith(PINNED_BUILD[2])):
-        pytest.skip(f"numpy/BLAS {build} is not the pinned {PINNED_BUILD}")
     ds = make_clustered_dataset(600, arities=(3, 11, 70, 300), n_cont=38, seed=9)
     stats = fit_normalize(ds)
     ds = apply_normalize(stats, ds)
-    model = ChadModel(ds.schema, ModelConfig(), np.random.default_rng(9))
-    assert "ae.g.W" in model.params()
-    train(model, ds, TrainSchedule(phase_epochs=(2, 1, 1), batch_size=64, seed=9),
-          NegSamplerConfig(m=3), SecondaryNoiseSpec(True))
-    save_model(tmp_path / "wide.chad", model, stats)
-    assert hashlib.sha256((tmp_path / "wide.chad").read_bytes()).hexdigest() \
-        == PINNED_WIDE_SHA256
+    files = []
+    for run in range(2):
+        model = ChadModel(ds.schema, ModelConfig(), np.random.default_rng(9))
+        assert "ae.g.W" in model.params()
+        train(model, ds, TrainSchedule(phase_epochs=(2, 1, 1), batch_size=64, seed=9),
+              NegSamplerConfig(m=3), SecondaryNoiseSpec(True))
+        save_model(tmp_path / f"wide{run}.chad", model, stats)
+        files.append((tmp_path / f"wide{run}.chad").read_bytes())
+    assert files[0] == files[1]
+    digest = hashlib.sha256(files[0]).hexdigest()
+    pin, key = pinned_hash("wide_model")
+    if pin:
+        assert digest == pin
+    report_pin("pinned-wide-model-hash", "two same-seed trainings wrote identical bytes; "
+               "wide", digest, pin, key)
