@@ -27,6 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .conceptbench import (ConceptConfig, GammaClusterSpec, GaussianBlobSpec,
+                           gen_concept_data, run_concept_bench)
 from .data import (RecordSchema, apply_normalize, filter_rare_entities, fit_normalize,
                    load_csv, read_schema_file)
 from .errors import (ChadkitError, ConfigError, DataError, MetricError, SchemaError,
@@ -397,10 +399,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench_concept(args) -> int:
-    # scipy.stats and scipy.linalg load here, not on every CLI call
-    from .conceptbench import (ConceptConfig, GammaClusterSpec, GaussianBlobSpec,
-                               gen_concept_data, run_concept_bench)
-
     config = _config(args)
     seed = config["seed"]
     concept = dict(config.get("concept", {}))

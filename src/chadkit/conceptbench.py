@@ -10,11 +10,10 @@ negatives filtered to low-density regions of the generating distributions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.stats import gamma as gamma_dist
 
 from .errors import ConfigError, TrainingDiverged
 from .estimator import contrastive_loss_terms
@@ -33,8 +32,10 @@ class GammaClusterSpec:
     def __post_init__(self):
         if any(len(v) != 2 for v in (self.shape, self.scale, self.offset)):
             raise ConfigError("Gamma shape, scale and offset need two values each")
-        if any(s <= 0 for s in self.shape) or any(s <= 0 for s in self.scale):
-            raise ConfigError("Gamma shape and scale must be positive")
+        # below shape 1 the density at the offset is infinite, and so would be
+        # the mode density that sets the uniform negatives' rejection threshold
+        if any(s < 1 for s in self.shape) or any(s <= 0 for s in self.scale):
+            raise ConfigError("Gamma shape must be >= 1 and scale positive")
 
     def sample(self, n: int, rng: np.random.Generator) -> Array:
         cols = [rng.gamma(self.shape[i], self.scale[i], size=n) + self.offset[i]
@@ -42,16 +43,20 @@ class GammaClusterSpec:
         return np.stack(cols, axis=1)
 
     def pdf(self, points: Array) -> Array:
+        """Product of the two axes' densities ``exp((k - 1) log y - y -
+        lgamma(k)) / scale`` at ``y = (x - offset) / scale``, 0 where y < 0."""
         points = np.atleast_2d(points)
         out = np.ones(points.shape[0])
-        for i in range(2):
-            out *= gamma_dist.pdf(points[:, i] - self.offset[i],
-                                  self.shape[i], scale=self.scale[i])
+        for k, scale, offset, x in zip(self.shape, self.scale, self.offset, points.T):
+            y = (x - offset) / scale
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                log_density = -y if k == 1 else (k - 1.0) * np.log(y) - y
+                density = np.exp(log_density - math.lgamma(k)) / scale
+            out *= np.where(y >= 0, density, 0.0)
         return out
 
     def mode_density(self) -> float:
-        mode = [self.offset[i] + max(self.shape[i] - 1.0, 0.0) * self.scale[i]
-                for i in range(2)]
+        mode = [self.offset[i] + (self.shape[i] - 1.0) * self.scale[i] for i in range(2)]
         return float(self.pdf(np.array([mode]))[0])
 
 
@@ -194,7 +199,10 @@ class GmmModel:
         for c in range(k):
             chol = np.linalg.cholesky(self.covs[c])
             diff = points - self.means[c]
-            sol = solve_triangular(chol, diff.T, lower=True)
+            # forward substitution: chol @ sol = diff.T
+            sol = np.empty((d, n))
+            for i in range(d):
+                sol[i] = (diff[:, i] - chol[i, :i] @ sol[:i]) / chol[i, i]
             out[:, c] = (-0.5 * (sol ** 2).sum(axis=0)
                          - np.log(np.diag(chol)).sum()
                          - 0.5 * d * np.log(2.0 * np.pi))

@@ -138,18 +138,6 @@ class ChadModel:
         stop = start + sum(v.size for v in params.values())
         return self.flat[start:stop], self.grad[start:stop], params
 
-    def autoencoder_params(self) -> dict[str, Array]:
-        return self.group("ae.")[2]
-
-    def estimator_params(self) -> dict[str, Array]:
-        return self.group("est.")[2]
-
-    def snapshot(self, keys=None) -> dict[str, Array]:
-        """Copies of parameters (for bitwise freeze checks)."""
-        if keys is None:
-            keys = self._params.keys()
-        return {k: self._params[k].copy() for k in keys}
-
     # ---- forward passes --------------------------------------------------
 
     def encode(self, cat: Array, cont: Array) -> Array:

@@ -1,4 +1,4 @@
-"""Dense-network substrate: layers, dropout, MSE, Adam, gradient checking.
+"""Dense-network substrate: layers, dropout, MSE, Adam.
 
 Everything is plain float64 numpy with explicit forward caches and manual
 backward passes. There is no graph autodiff; each component knows how to
@@ -168,11 +168,6 @@ def mse_loss_backward(x: Array, x_hat: Array):
     return g, -g
 
 
-def strip_prefix(named: dict[str, Array], prefix: str) -> dict[str, Array]:
-    """The entries of ``named`` whose name starts with ``prefix``, without it."""
-    return {k[len(prefix):]: v for k, v in named.items() if k.startswith(prefix)}
-
-
 def pack(parts: dict):
     """One float64 vector of the parameters of ``parts`` (name prefix ->
     component with ``params`` and ``bind``), flattened C-order in sorted
@@ -190,7 +185,9 @@ def pack(parts: dict):
         grads[name] = grad[offset:end].reshape(shape)
         offset = end
     for prefix, part in parts.items():
-        part.bind(strip_prefix(views, prefix), strip_prefix(grads, prefix))
+        mine = [name for name in names if name.startswith(prefix)]
+        part.bind({name[len(prefix):]: views[name] for name in mine},
+                  {name[len(prefix):]: grads[name] for name in mine})
     return flat, grad, views, grads
 
 
@@ -232,35 +229,3 @@ class Adam:
         np.multiply(step, self.lr, out=step)
         np.divide(step, tmp, out=step)
         np.subtract(self.flat, step, out=self.flat)
-
-
-def grad_check(loss_fn, params: dict[str, Array], grads: dict[str, Array],
-               probe_count: int = 20, h: float = 1e-5,
-               rng: np.random.Generator | None = None) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``loss_fn`` takes no arguments, reads the live arrays in ``params``,
-    returns the loss and leaves its gradient in the same-named arrays of
-    ``grads``. It must be deterministic (dropout disabled, any noise frozen),
-    since it is re-evaluated at perturbed coordinates.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    loss_fn()
-    analytic = {name: g.copy() for name, g in grads.items()}
-    names = sorted(params)
-    worst = 0.0
-    for _ in range(probe_count):
-        name = names[rng.integers(len(names))]
-        arr = params[name]
-        idx = int(rng.integers(arr.size))
-        orig = arr.flat[idx]
-        arr.flat[idx] = orig + h
-        lp = loss_fn()
-        arr.flat[idx] = orig - h
-        lm = loss_fn()
-        arr.flat[idx] = orig
-        fd = (lp - lm) / (2.0 * h)
-        g = analytic[name].flat[idx]
-        worst = max(worst, abs(g - fd) / max(abs(g), abs(fd), 1e-5))
-    return worst

@@ -49,6 +49,44 @@ def read_csv(path):
         return list(csv.reader(f))
 
 
+def copy_params(model, prefix=""):
+    """Copies of the model's parameters whose names start with ``prefix``
+    (all of them by default), for bitwise freeze checks."""
+    return {k: v.copy() for k, v in model.group(prefix)[2].items()}
+
+
+def grad_check(loss_fn, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+               probe_count: int = 20, h: float = 1e-5,
+               rng: np.random.Generator | None = None) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    ``loss_fn`` takes no arguments, reads the live arrays in ``params``,
+    returns the loss and leaves its gradient in the same-named arrays of
+    ``grads``. It must be deterministic (dropout disabled, any noise frozen),
+    since it is re-evaluated at perturbed coordinates.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    loss_fn()
+    analytic = {name: g.copy() for name, g in grads.items()}
+    names = sorted(params)
+    worst = 0.0
+    for _ in range(probe_count):
+        name = names[rng.integers(len(names))]
+        arr = params[name]
+        idx = int(rng.integers(arr.size))
+        orig = arr.flat[idx]
+        arr.flat[idx] = orig + h
+        lp = loss_fn()
+        arr.flat[idx] = orig - h
+        lm = loss_fn()
+        arr.flat[idx] = orig
+        fd = (lp - lm) / (2.0 * h)
+        g = analytic[name].flat[idx]
+        worst = max(worst, abs(g - fd) / max(abs(g), abs(fd), 1e-5))
+    return worst
+
+
 def write_schema_json(path, schema):
     obj = {name: "categorical" for name in schema.cat_fields}
     obj.update({name: "continuous" for name in schema.cont_fields})

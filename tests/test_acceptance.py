@@ -22,11 +22,10 @@ from chadkit.conceptbench import run_concept_bench
 from chadkit.estimator import SecondaryNoiseSpec
 from chadkit.negsampler import (NegSamplerConfig, category_probs,
                                 generate_negatives_batch, perturb_continuous)
-from chadkit.nn import grad_check
 from chadkit.synthdata import make_clustered_dataset, split_train_test
 from chadkit.trainer import TrainLog, TrainSchedule, train
 
-from conftest import pinned_hash, report_pin, write_csv
+from conftest import copy_params, grad_check, pinned_hash, report_pin, write_csv
 
 
 def _report(name, detail):
@@ -192,21 +191,21 @@ def test_criterion_4_phase_gating_contract():
                              batch_size=64, seed=13)
     log = TrainLog()
 
-    est_keys = list(model.estimator_params())
-    enc_keys = list(model.autoencoder_params())
-    est_before = model.snapshot(est_keys)
+    est_keys = list(model.group("est.")[2])
+    enc_keys = list(model.group("ae.")[2])
+    est_before = copy_params(model, "est.")
 
     from chadkit.seeds import named_streams
     from chadkit.trainer import run_phase1, run_phase2, run_phase3
     streams = named_streams(schedule.seed)
     run_phase1(model, ds, schedule, log, streams)
-    est_after_p1 = model.snapshot(est_keys)
+    est_after_p1 = copy_params(model, "est.")
     assert all(np.array_equal(est_before[k], est_after_p1[k]) for k in est_keys)
 
     run_phase2(model, ds, schedule, NegSamplerConfig(m=3), log=log, streams=streams)
-    enc_before_p3 = model.snapshot(enc_keys)
+    enc_before_p3 = copy_params(model, "ae.")
     run_phase3(model, ds, schedule, NegSamplerConfig(m=3), log=log, streams=streams)
-    enc_after_p3 = model.snapshot(enc_keys)
+    enc_after_p3 = copy_params(model, "ae.")
     assert all(np.array_equal(enc_before_p3[k], enc_after_p3[k]) for k in enc_keys)
 
     for e in log.entries:

@@ -12,7 +12,9 @@ from chadkit.autoencoder import (Autoencoder, FieldTransform, FoldedEncoder,
 from chadkit.data import RecordSchema
 from chadkit.errors import SchemaError
 from chadkit.model import ModelConfig
-from chadkit.nn import mse_loss
+from chadkit.nn import mse_loss, pack
+
+from conftest import grad_check
 
 DEFAULTS = ModelConfig()
 
@@ -161,7 +163,6 @@ class TestAutoencoder:
         assert np.array_equal(a, b)
 
     def test_single_record_gradient_check(self):
-        from chadkit.nn import grad_check, pack
         schema, ae = self._build()
         cat = np.array([[1, 2]])
         cont = np.array([[0.15, 0.5, 0.85]])

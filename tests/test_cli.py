@@ -685,13 +685,14 @@ def test_flag_the_subcommand_ignores_exits_2(command, flag, capsys):
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # no scipy module at all: only `bench-concept` imports scipy, when it runs
+    # no scipy module at all: numpy is chadkit's only runtime dependency
     src = Path(__file__).resolve().parents[1] / "src"
     scipy = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
-    code = f"import sys, chadkit; print({scipy}); import chadkit.cli; print({scipy})"
+    code = (f"import sys, chadkit; print({scipy}); import chadkit.cli; print({scipy}); "
+            f"import chadkit.conceptbench; print({scipy})")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
-    assert out.stdout.split() == ["[]", "[]"]
+    assert out.stdout.split() == ["[]", "[]", "[]"]
 
 
 def _replay_cases(ws):

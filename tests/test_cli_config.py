@@ -160,6 +160,9 @@ MALFORMED = [
     ("negsample-dump", _set("negsample-dump", -5, "rows"), "rows must be >= 1, got -5"),
     ("bench-concept", _set("bench-concept", [1], "concept", "blobs", 0, "mean"),
      "concept.blobs[0]: a blob needs a two-value mean"),
+    # below shape 1 the mode density is infinite, so no negative is rejected
+    ("bench-concept", _set("bench-concept", [0.5, 2.0], "concept", "clusters", 0, "shape"),
+     "concept.clusters[0]: Gamma shape must be >= 1"),
     ("viz-latent", _set("viz-latent", "pca", "source"),
      "source must be 'latent' or 'estimator', got \"pca\""),
 ]

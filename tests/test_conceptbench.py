@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from chadkit.conceptbench import (ConceptConfig, GammaClusterSpec, data_box,
                                   fit_gmm_em, fit_kmeans, gen_concept_data,
@@ -27,6 +28,18 @@ class TestDataGeneration:
             se = scale * np.sqrt(shape) / np.sqrt(100_000)
             assert abs(draws[:, i].mean() - expected) < 3 * se
 
+    @pytest.mark.parametrize("shape", [1.0, 1.5, 2.0, 7.5])
+    def test_pdf_matches_scipy(self, shape):
+        # the second axis is Gamma(1, 1) at its offset, where its density is exactly 1
+        scale, offset = 0.7, 2.5
+        spec = GammaClusterSpec(shape=(shape, 1.0), scale=(scale, 1.0), offset=(offset, 0.0))
+        x = offset + np.concatenate([[-5.0, -1e-9, 0.0], np.linspace(1e-6, 30.0, 2001)])
+        got = spec.pdf(np.stack([x, np.zeros_like(x)], axis=1))
+        assert got[0] == got[1] == 0.0
+        assert got[2] == (1.0 / scale if shape == 1.0 else 0.0)
+        want = stats.gamma.pdf(x[3:] - offset, shape, scale=scale)
+        np.testing.assert_allclose(got[3:], want, rtol=1e-12, atol=0)
+
     def test_fixed_seed_bitwise_reproducible(self):
         a, la = gen_concept_data(SMALL, np.random.default_rng(7))
         b, lb = gen_concept_data(SMALL, np.random.default_rng(7))
@@ -35,6 +48,9 @@ class TestDataGeneration:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             GammaClusterSpec(shape=(0.0, 1.0))
+        # an infinite density at the offset would switch off the negative filter
+        with pytest.raises(ConfigError, match="shape must be >= 1"):
+            GammaClusterSpec(shape=(0.5, 2.0))
         with pytest.raises(ConfigError):
             ConceptConfig(n_per_cluster=0)
         with pytest.raises(ConfigError):
@@ -116,12 +132,12 @@ class TestGmm:
             (hard[200:] == 1 - majority).mean() * 0.5
         assert correct > 0.99
 
-    def test_score_is_mixture_loglik(self):
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_score_is_mixture_loglik(self, d):
         rng = np.random.default_rng(8)
-        pts = rng.normal(size=(100, 2))
+        pts = rng.normal(size=(100, d))
         model = fit_gmm_em(pts, 1, seed=0)
-        from scipy.stats import multivariate_normal
-        expected = multivariate_normal(model.means[0], model.covs[0]).logpdf(pts)
+        expected = stats.multivariate_normal(model.means[0], model.covs[0]).logpdf(pts)
         assert np.allclose(model.score(pts), expected, atol=1e-8)
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from chadkit.estimator import Estimator, SecondaryNoiseSpec, contrastive_loss_terms
-from chadkit.nn import grad_check, pack
+from chadkit.nn import pack
+
+from conftest import grad_check
 
 
 class TestLikelihood:

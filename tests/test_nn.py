@@ -7,9 +7,9 @@ from scipy.special import expit
 
 from chadkit.errors import TrainingDiverged
 from chadkit.nn import (ADAM_EPS, Adam, DenseLayer, DenseStack, dropout_mask, glorot_uniform,
-                        grad_check, mse_loss, mse_loss_backward, pack)
+                        mse_loss, mse_loss_backward, pack)
 
-from conftest import exp_is_libm
+from conftest import exp_is_libm, grad_check
 
 
 def _sigmoid(a):

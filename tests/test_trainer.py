@@ -26,7 +26,7 @@ from chadkit.synthdata import make_clustered_dataset
 from chadkit.trainer import (TrainLog, TrainSchedule, gates_for, run_phase1,
                              run_phase2, run_phase3, train)
 
-from conftest import pinned_hash, report_pin
+from conftest import copy_params, pinned_hash, report_pin
 
 
 @pytest.fixture(scope="module")
@@ -176,14 +176,14 @@ class TestJointLoss:
 class TestPhase1:
     def test_zero_epochs_change_nothing(self, toy_data):
         model = build_model(toy_data)
-        before = model.snapshot()
+        before = copy_params(model)
         run_phase1(model, toy_data, TrainSchedule(phase_epochs=(0, 0, 0), **SCHED))
         after = model.params()
         assert all(np.array_equal(before[k], after[k]) for k in before)
 
     def test_estimator_frozen_bitwise(self, toy_data):
         model = build_model(toy_data)
-        before = model.snapshot(model.estimator_params().keys())
+        before = copy_params(model, "est.")
         run_phase1(model, toy_data, TrainSchedule(phase_epochs=(2, 0, 0), **SCHED))
         after = model.params()
         assert all(np.array_equal(before[k], after[k]) for k in before)
@@ -232,21 +232,21 @@ class TestPhase2:
 
     def test_both_components_update(self, toy_data):
         model = build_model(toy_data)
-        before = model.snapshot()
+        before = copy_params(model)
         run_phase2(model, toy_data, TrainSchedule(phase_epochs=(0, 2, 0), **SCHED),
                    NegSamplerConfig(m=2))
         after = model.params()
         assert any(not np.array_equal(before[k], after[k])
-                   for k in model.autoencoder_params())
+                   for k in model.group("ae.")[2])
         assert any(not np.array_equal(before[k], after[k])
-                   for k in model.estimator_params())
+                   for k in model.group("est.")[2])
 
 
 class TestPhase3:
     def test_everything_feeding_latents_is_frozen(self, toy_data):
         model = build_model(toy_data)
-        ae_before = model.snapshot(model.autoencoder_params().keys())
-        est_before = model.snapshot(model.estimator_params().keys())
+        ae_before = copy_params(model, "ae.")
+        est_before = copy_params(model, "est.")
         log = TrainLog()
         run_phase3(model, toy_data, TrainSchedule(phase_epochs=(0, 0, 3), **SCHED),
                    NegSamplerConfig(m=2), log=log)
@@ -259,7 +259,7 @@ class TestPhase3:
         ds = make_clustered_dataset(150, arities=(4, 5), n_cont=36, n_clusters=3, seed=2)
         model = build_model(ds)
         assert "ae.g.W" in model.params()
-        before = model.snapshot(model.autoencoder_params().keys())
+        before = copy_params(model, "ae.")
         run_phase3(model, ds, TrainSchedule(phase_epochs=(0, 0, 2), **SCHED),
                    NegSamplerConfig(m=2))
         after = model.params()
@@ -290,7 +290,7 @@ class TestPhase3:
                                    streams["dropout"])
                 opt.step()
         got = model.params()
-        for key, want in ref.estimator_params().items():
+        for key, want in ref.group("est.")[2].items():
             np.testing.assert_allclose(got[key], want, rtol=1e-9, atol=1e-12)
 
     def test_gamma_ramp_endpoints_in_log(self, toy_data):
@@ -322,7 +322,7 @@ class TestDeterminism:
             model = build_model(toy_data, seed=4)
             sched = TrainSchedule(phase_epochs=(2, 2, 2), seed=77, **SCHED)
             train(model, toy_data, sched, NegSamplerConfig(m=3))
-            results.append(model.snapshot())
+            results.append(copy_params(model))
         a, b = results
         assert set(a) == set(b)
         for key in a:
