@@ -2,9 +2,12 @@
 
 Subcommands: train, score, eval, bench-concept, viz-latent, negsample-dump.
 Every run is driven by one config: the --config JSON, when the subcommand
-takes one, with each flag given set over the key of its name. It is checked
-once against the subcommand's entry in CONFIG_TABLES (unknown, missing and
-mistyped keys are all reported), and every report embeds it, so a run can be
+takes one, with each flag given set over the key of its name. ``main`` builds
+it once and checks it in one pass against the subcommand's entry in
+CONFIG_TABLES, which reports every unknown, missing or mistyped key and every
+value out of its range. The ``model``, ``train``, ``negatives`` and
+``concept`` objects then check their own rules when they are built, and the
+first that fails is reported. Every report embeds the config, so a run can be
 reproduced from its outputs alone.
 
 Inputs are validated once, where they enter: configs here, CSV cells and
@@ -58,22 +61,24 @@ MAX_PARAMETERS = 2**27
 # The config keys of each subcommand and the JSON value each key takes. A dict
 # is the table of a nested JSON object, a one-item list the table of every
 # object in a JSON list; a kind ending in "!" marks a required key. A "file"
-# is a path string naming an existing file. A flag sets the key of its name
+# is a path string naming an existing file. The kinds hold the ranges of the
+# keys that only the CLI reads; the objects built from the nested tables
+# check their own. A flag sets the key of its name
 # (``_config``); `score` takes no --config, so its table holds only the keys
 # its flags set.
 _NEGATIVES = {"m": "int", "delta": "number"}
-_RUN = {"seed": "int", "out_dir": "str!"}
+_RUN = {"seed": "seed", "out_dir": "str!"}
 CONFIG_TABLES = {
     "train": {
-        "schema": "file!", "train_data": "file!", "min_count": "int!",
+        "schema": "file!", "train_data": "file!", "min_count": "count!",
         "secondary_noise": "bool", "negatives": _NEGATIVES,
         "model": {"encoder_sizes": "ints", "embed_cap": "int", "cont_threshold": "int",
                   "g_dim": "int", "dropout_ae": "number", "dropout_est": "number"},
         "train": {"phase_epochs": "ints", "learning_rate": "number", "batch_size": "int",
                   "gamma_start": "number", "gamma_max": "number"},
         **_RUN},
-    "eval": {"model": "file!", "test_data": "file!", "anomaly_fraction": "number",
-             "seeds": "seeds", "percentages": "numbers", **_RUN},
+    "eval": {"model": "file!", "test_data": "file!", "anomaly_fraction": "fraction",
+             "seeds": "seeds", "percentages": "percentages", **_RUN},
     "bench-concept": {
         "concept": {"clusters": [{"shape": "numbers", "scale": "numbers",
                                   "offset": "numbers"}],
@@ -84,8 +89,8 @@ CONFIG_TABLES = {
     "score": {"model": "file!", "data": "file!", "out": "str!"},
     "viz-latent": {"model": "file!", "data": "file!", "source": "source",
                    "label_field": "str", "out_dir": "str!"},
-    "negsample-dump": {"schema": "file!", "data": "file!", "rows": "int",
-                       "negatives": _NEGATIVES, "min_count": "int", **_RUN},
+    "negsample-dump": {"schema": "file!", "data": "file!", "rows": "count",
+                       "negatives": _NEGATIVES, "min_count": "count", **_RUN},
 }
 
 
@@ -97,28 +102,34 @@ def _is_number(v) -> bool:
     return _is_int(v) or isinstance(v, float) and math.isfinite(v)
 
 
+def _is_seed(v) -> bool:
+    return _is_int(v) and v >= 0
+
+
 _KINDS = {  # kind -> (what a value must be, its test)
     "file": ("a path string", lambda v: isinstance(v, str)),
     "str": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "int": ("an integer", _is_int),
+    "seed": ("an integer >= 0", _is_seed),
+    "count": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
     "number": ("a finite number", _is_number),
+    "fraction": ("a number in (0, 1]", lambda v: _is_number(v) and 0 < v <= 1),
     "ints": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
     "numbers": ("a list of finite numbers",
                 lambda v: isinstance(v, list) and all(map(_is_number, v))),
     "seeds": ("a non-empty list of integers >= 0",
-              lambda v: isinstance(v, list) and v and all(_is_int(s) and s >= 0 for s in v)),
+              lambda v: isinstance(v, list) and v and all(map(_is_seed, v))),
+    "percentages": ("a list of numbers in (0, 100)",
+                    lambda v: isinstance(v, list)
+                    and all(_is_number(p) and 0 < p < 100 for p in v)),
     "source": ("'latent' or 'estimator'", lambda v: v in ("latent", "estimator")),
 }
 
 
-def _required(kind) -> bool:
-    return isinstance(kind, str) and kind.endswith("!")
-
-
 def _problems(obj, table: dict, where: str, flags: dict = {}) -> list[str]:
-    """Every unknown, missing, mistyped or missing-file key of ``obj``; a
-    missing key that ``flags`` maps to a flag names that flag."""
+    """Every unknown, missing, mistyped, out-of-range or missing-file key of
+    ``obj``; a missing key that ``flags`` maps to a flag names that flag."""
     if not isinstance(obj, dict):
         return [f"{where} must be a JSON object"]
     problems = [f"{where}: unknown key {key!r}" for key in obj if key not in table]
@@ -126,7 +137,7 @@ def _problems(obj, table: dict, where: str, flags: dict = {}) -> list[str]:
         name = key if where == "config" else f"{where}.{key}"
         value = obj.get(key)
         if key not in obj:
-            if _required(kind):
+            if isinstance(kind, str) and kind.endswith("!"):
                 hint = f" (or pass --{flags[key]})" if key in flags else ""
                 problems.append(f"{where}: missing required key {key!r}{hint}")
         elif isinstance(kind, dict):
@@ -174,8 +185,6 @@ def _config(args) -> dict:
         raise ConfigError(problems)
     if "seed" in table:
         config.setdefault("seed", 0)
-        if config["seed"] < 0:
-            raise ConfigError(f"seed must be >= 0, got {config['seed']}")
     return config
 
 
@@ -199,6 +208,13 @@ def _make_dir(path) -> Path:
     return path
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_json(path, obj):
     with open(path, "w") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
@@ -217,10 +233,9 @@ def _rows_summary(report) -> str:
 
 def _load_training(config: dict, data_key: str):
     """(normalized dataset, stats, load report) from the config's schema file
-    and ``data_key`` CSV, pruned at its min_count."""
+    and ``data_key`` CSV, pruned at its min_count, whose schema the negative
+    sampler can perturb."""
     min_count = config.get("min_count", 1)
-    if min_count < 1:
-        raise ConfigError(f"min_count must be an integer >= 1, got {min_count}")
     path = config[data_key]
     dataset, report = load_csv(path, RecordSchema(*read_schema_file(config["schema"])))
     if report.first_nonfinite:
@@ -230,19 +245,18 @@ def _load_training(config: dict, data_key: str):
     if dataset.n == 0:
         raise DataError(f"{path}: no training rows left: {_rows_summary(report)}, "
                         f"0 after min_count {min_count} pruning")
+    check_sampler_schema(dataset.schema)   # as train() does, but before out is made
     stats = fit_normalize(dataset)
     return apply_normalize(stats, dataset), stats, report
 
 
-def cmd_train(args) -> int:
-    config = _config(args)
+def cmd_train(config: dict) -> int:
     seed = config["seed"]
     model_config = _build(ModelConfig, config.get("model", {}), "model")
     schedule = _build(TrainSchedule, {**config.get("train", {}), "seed": seed}, "train")
     neg_config = _build(NegSamplerConfig, config.get("negatives", {}), "negatives")
     noise_spec = SecondaryNoiseSpec(config.get("secondary_noise", True))
     dataset, stats, report = _load_training(config, "train_data")
-    check_sampler_schema(dataset.schema)   # as train() does, but before out is made
     count = parameter_count(dataset.schema, model_config)
     if count > MAX_PARAMETERS:
         raise ConfigError(f"model: {count} parameters exceed the limit of {MAX_PARAMETERS}; "
@@ -292,8 +306,7 @@ def _load_for_model(model: ChadModel, stats, data_path, label_field=None):
     return dataset, scores, report
 
 
-def cmd_score(args) -> int:
-    config = _config(args)
+def cmd_score(config: dict) -> int:
     model, stats = load_model(config["model"])
     dataset, scores, report = _load_for_model(model, stats, config["data"])
     scored = ScoredRecords(dataset.ids, scores).sorted_ascending()
@@ -359,13 +372,10 @@ def _synthetic_eval(model, test_set, nominal_scores, fraction: float, percentage
     return report
 
 
-def cmd_eval(args) -> int:
-    config = _config(args)
+def cmd_eval(config: dict) -> int:
     seed = config["seed"]
     fraction = float(config.get("anomaly_fraction", 0.1))
     percentages = config.get("percentages", [])
-    if not (0 < fraction <= 1 and all(0 < p < 100 for p in percentages)):
-        raise ConfigError("anomaly_fraction must be in (0, 1] and percentages in (0, 100)")
     seeds = config.get("seeds", [seed + i for i in range(5)])
 
     model, stats = load_model(config["model"])
@@ -382,12 +392,9 @@ def cmd_eval(args) -> int:
     report.update(config=config, load_report=load_report.to_json())
 
     if percentages:
-        with open(out / "vary_anomaly.csv", "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["percent", "ap_mean", "ap_sd", "runs"])
-            for row in report["vary_anomaly"]:
-                writer.writerow([row["percent"], f"{row['ap_mean']:.6f}",
-                                 f"{row['ap_sd']:.6f}", row["runs"]])
+        _write_csv(out / "vary_anomaly.csv", ["percent", "ap_mean", "ap_sd", "runs"],
+                   ([row["percent"], f"{row['ap_mean']:.6f}", f"{row['ap_sd']:.6f}",
+                     row["runs"]] for row in report["vary_anomaly"]))
 
     _write_json(out / "eval_report.json", report)
     print(f"AP {report['ap_mean']:.4f} +/- {report['ap_sd']:.4f} "
@@ -398,8 +405,7 @@ def cmd_eval(args) -> int:
 # ---- bench-concept ---------------------------------------------------------
 
 
-def cmd_bench_concept(args) -> int:
-    config = _config(args)
+def cmd_bench_concept(config: dict) -> int:
     seed = config["seed"]
     concept = dict(config.get("concept", {}))
     for key, spec in (("clusters", GammaClusterSpec), ("blobs", GaussianBlobSpec)):
@@ -413,17 +419,11 @@ def cmd_bench_concept(args) -> int:
     result = run_concept_bench(concept, seeds)
     summary = result["summary"]
 
-    with open(out / "concept_bench.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["method", "seed", "ap"])
-        for row in result["rows"]:
-            writer.writerow([row["method"], row["seed"], f"{row['ap']:.6f}"])
+    _write_csv(out / "concept_bench.csv", ["method", "seed", "ap"],
+               ([row["method"], row["seed"], f"{row['ap']:.6f}"] for row in result["rows"]))
     points, labels = gen_concept_data(concept, np.random.default_rng(seeds[0]))
-    with open(out / "concept_data.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["x", "y", "label"])
-        for (x, y), lab in zip(points, labels):
-            writer.writerow([f"{x:.6f}", f"{y:.6f}", int(lab)])
+    _write_csv(out / "concept_data.csv", ["x", "y", "label"],
+               ([f"{x:.6f}", f"{y:.6f}", int(lab)] for (x, y), lab in zip(points, labels)))
     _write_json(out / "concept_summary.json",
                 {"config": config, "seeds": [int(s) for s in seeds],
                  "summary": summary})
@@ -435,8 +435,7 @@ def cmd_bench_concept(args) -> int:
 # ---- viz-latent ------------------------------------------------------------
 
 
-def cmd_viz_latent(args) -> int:
-    config = _config(args)
+def cmd_viz_latent(config: dict) -> int:
     source = config.get("source", "latent")
     model, stats = load_model(config["model"])
     dataset, _, _ = _load_for_model(model, stats, config["data"],
@@ -462,31 +461,21 @@ def cmd_viz_latent(args) -> int:
 # ---- negsample-dump --------------------------------------------------------
 
 
-def cmd_negsample_dump(args) -> int:
-    config = _config(args)
+def cmd_negsample_dump(config: dict) -> int:
     neg_config = _build(NegSamplerConfig, config.get("negatives", {}), "negatives")
-    rows = config.get("rows", 3)
-    if rows < 1:
-        raise ConfigError(f"rows must be >= 1, got {rows}")
     dataset, _, _ = _load_training(config, "data")
     out = _make_dir(config["out_dir"])
-    head = dataset.subset(np.arange(min(rows, dataset.n)))
+    head = dataset.subset(np.arange(min(config.get("rows", 3), dataset.n)))
 
     rng = named_streams(config["seed"])["negsampler"]
     neg_cat, neg_cont = generate_negatives_batch(head.cat, head.cont, neg_config,
                                                  dataset.schema, rng)
-    schema = dataset.schema
+    schema, m = dataset.schema, neg_config.m
     path = out / "negatives.csv"
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["source_id", "sample",
-                         *schema.cat_fields, *schema.cont_fields])
-        for i in range(neg_cat.shape[0]):
-            src = int(head.ids[i // neg_config.m])
-            cats = [schema.decode_value(w, int(neg_cat[i, w]))
-                    for w in range(schema.k)]
-            conts = [f"{v:.6f}" for v in neg_cont[i]]
-            writer.writerow([src, i % neg_config.m, *cats, *conts])
+    _write_csv(path, ["source_id", "sample", *schema.cat_fields, *schema.cont_fields],
+               ([int(head.ids[i // m]), i % m,
+                 *(schema.decode_value(w, int(neg_cat[i, w])) for w in range(schema.k)),
+                 *(f"{v:.6f}" for v in neg_cont[i])] for i in range(neg_cat.shape[0])))
     _write_json(out / "negsample_config.json", config)
     print(f"{neg_cat.shape[0]} negatives written to {path}")
     return EXIT_OK
@@ -531,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(_config(args))
     except (ConfigError, DataError, MetricError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -115,11 +115,14 @@ def load_model(path):
                             f"per continuous field")
         entries = [(str(e["name"]), tuple(int(d) for d in e["shape"]))
                    for e in header["params"]]
-        # nothing is allocated from sizes the payload cannot back
+        # checked before anything is allocated from the header's sizes
         count = parameter_count(schema, config)
-        if count * 8 > len(payload):
-            raise DataError(f"{path}: truncated payload: the header's layer sizes "
-                            f"need {count} parameters, the payload holds {len(payload) // 8}")
+        if len(payload) != count * 8:
+            raise DataError(
+                f"{path}: {len(payload) - count * 8} trailing payload bytes"
+                if len(payload) > count * 8 else
+                f"{path}: truncated payload: the header's layer sizes need {count} "
+                f"parameters, the payload holds {len(payload) // 8}")
         model = ChadModel(schema, config, np.random.default_rng(0))
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError,
             SchemaError) as err:   # OverflowError: int() of an infinite size
@@ -129,8 +132,6 @@ def load_model(path):
     if entries != expected:
         raise DataError(f"{path}: the header's parameter list does not match the "
                         f"model it describes")
-    if len(payload) != model.flat.size * 8:
-        raise DataError(f"{path}: {len(payload) - model.flat.size * 8} trailing payload bytes")
     model.flat[...] = np.frombuffer(payload, dtype="<f8")
     # a non-finite weight or bound would score every row as nan without a word
     if not np.isfinite(model.flat).all():

@@ -212,6 +212,11 @@ class TestTrain:
         assert main(["train", "--config", str(tmp_path / "cfg.json"),
                      "--out", str(out)]) == 2
         assert not (tmp_path / "run").exists()
+        dump = {"schema": config["schema"], "data": config["train_data"]}
+        (tmp_path / "dump.json").write_text(json.dumps(dump))
+        assert main(["negsample-dump", "--config", str(tmp_path / "dump.json"),
+                     "--out", str(out)]) == 2
+        assert not (tmp_path / "run").exists()
 
     def test_uncreatable_out_exits_2(self, workspace, tmp_path, capsys):
         (tmp_path / "afile").write_text("x")

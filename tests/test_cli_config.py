@@ -121,6 +121,11 @@ def _set(command, value, *path):
     return make
 
 
+def _update(command, **values):
+    """A valid config of ``command`` with its top-level ``values`` replaced."""
+    return lambda configs, root: {**configs[command], **values}
+
+
 def _schema_bytes(content):
     def make(configs, root):
         (root / "bad_schema.json").write_bytes(content)
@@ -145,7 +150,7 @@ MALFORMED = [
     ("train", _set("train", 0, "model", "g_dim"), "model: embed_cap and g_dim"),
     ("train", _set("train", [2**40], "model", "encoder_sizes"), "model.encoder_sizes"),
     ("train", _set("train", "abc", "seed"), "seed must be an integer"),
-    ("train", _set("train", -1, "seed"), "seed must be >= 0"),
+    ("train", _set("train", -1, "seed"), "seed must be an integer >= 0, got -1"),
     ("train", _set("train", True, "min_count"), "min_count must be an integer"),
     ("train", _set("train", "cfg.json", "out_dir"), "cannot create output directory"),
     ("train", _set("train", "", "out_dir"), "out_dir must be a non-empty string"),
@@ -157,7 +162,16 @@ MALFORMED = [
     ("eval", _set("eval", "x", "anomaly_fraction"), "anomaly_fraction must be"),
     ("eval", _set("eval", [-1], "seeds"), "seeds must be a non-empty list"),
     ("negsample-dump", _set("negsample-dump", "3", "rows"), "rows must be an integer"),
-    ("negsample-dump", _set("negsample-dump", -5, "rows"), "rows must be >= 1, got -5"),
+    ("negsample-dump", _set("negsample-dump", -5, "rows"),
+     "rows must be an integer >= 1, got -5"),
+    # the CLI-only ranges are checked in the one pass that reports every key
+    ("train", _update("train", seed=-1, min_count=0),
+     "min_count must be an integer >= 1, got 0; seed must be an integer >= 0, got -1"),
+    ("eval", _update("eval", anomaly_fraction=1.5, percentages=[100]),
+     "anomaly_fraction must be a number in (0, 1], got 1.5; "
+     "percentages must be a list of numbers in (0, 100), got [100]"),
+    ("negsample-dump", _update("negsample-dump", rows=0, seed=-1),
+     "rows must be an integer >= 1, got 0; seed must be an integer >= 0, got -1"),
     ("bench-concept", _set("bench-concept", [1], "concept", "blobs", 0, "mean"),
      "concept.blobs[0]: a blob needs a two-value mean"),
     # below shape 1 the mode density is infinite, so no negative is rejected

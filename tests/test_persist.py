@@ -121,6 +121,19 @@ class TestCorruptFiles:
         with pytest.raises(DataError, match="truncated"):
             load_model(tmp_path / "cut.chad")
 
+    def test_trailing_payload_bytes_rejected_before_allocating(self, tmp_path,
+                                                               model_and_stats, monkeypatch):
+        model, stats = model_and_stats
+        path = tmp_path / "m.chad"
+        save_model(path, model, stats)
+        (tmp_path / "long.chad").write_bytes(path.read_bytes() + bytes(8))
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("model built before the payload length was checked")
+        monkeypatch.setattr("chadkit.persist.ChadModel", no_model)
+        with pytest.raises(DataError, match="8 trailing payload bytes"):
+            load_model(tmp_path / "long.chad")
+
     def test_unsupported_version(self, tmp_path, model_and_stats):
         model, stats = model_and_stats
         path = tmp_path / "m.chad"
